@@ -10,7 +10,9 @@ perf trajectory of the federated allocation tier:
   :class:`~repro.cdn.sharding.ShardedAllocationRouter` (routing overhead);
 * ``federated_rps`` — each site's shard serving its own partition, wall
   clock of the slowest site (the "one allocation server per site" model
-  the paper's Section V-B allows).
+  the paper's Section V-B allows). Its ratio to ``unsharded_rps`` is
+  ``modelled_federated_speedup``: the sites run one after another on one
+  host, so it is a model, not measured parallelism.
 
 Gates: every shard count must rank candidates bit-identically to the
 unsharded server (the equivalence contract), routing overhead must stay
@@ -37,17 +39,25 @@ SHARD_COUNTS = (1, 2, 4)
 
 #: The 4-shard partition-parallel federation must beat one server by
 #: this factor (slowest-site wall clock; ideal is ~4x minus imbalance).
+#: With holder-keyed hop rows every site's working set fits the hop
+#: cache, so the modelled figure tracks the partition alone: measured
+#: 2.8-3.9x against the 3.0x bound set by the largest site's 1333 of
+#: 4000 requests (the old 5.6x was cache fit, not parallelism).
 MIN_FEDERATED_SPEEDUP = 1.5
 
 #: Routing a request to its shard must not cost more than this fraction
-#: of the unsharded path (the owner-site memo collapsed the per-request
-#: syscat double-probe; measured ~0.97-1.03x, margin left for CI noise).
-MAX_ROUTING_SLOWDOWN = 0.90
+#: of the unsharded path. With holder-keyed hop rows a resolve costs
+#: ~8 us, so the router's ~0.3 us dispatch shows: measured 0.85-1.03x
+#: over twelve runs at 1, 2 and 4 shards on a shared 2-vCPU host. The
+#: floor still catches a regression that adds ~2 us per request, e.g. a
+#: return of the per-request syscat double-probe the owner-site memo
+#: removed.
+MAX_ROUTING_SLOWDOWN = 0.75
 
-#: Single-shard routed dispatch must stay within 5% of the direct
-#: server: with one shard the router adds *only* dispatch overhead, so
-#: this isolates the memoized route lookup (measured ~1.03x).
-MAX_SINGLE_SHARD_SLOWDOWN = 0.95
+#: Single-shard routed dispatch against the direct server: with one shard
+#: the router adds *only* dispatch overhead, so this isolates the
+#: memoized route lookup (measured 0.91-1.01x on the same runs).
+MAX_SINGLE_SHARD_SLOWDOWN = 0.80
 
 
 def _run_all():
@@ -76,7 +86,7 @@ def test_sharded_allocation_throughput(benchmark):
                 "unsharded_rps": r.unsharded_rps,
                 "routed_rps": r.routed_rps,
                 "federated_rps": r.federated_rps,
-                "federated_speedup": r.federated_speedup,
+                "modelled_federated_speedup": r.modelled_federated_speedup,
                 "site_requests": r.site_requests,
                 "identical": r.identical,
             }
@@ -102,7 +112,7 @@ def test_sharded_allocation_throughput(benchmark):
             f"routing overhead regressed at {r.n_shards} shard(s): "
             f"{r.routed_rps:,.0f} rps vs {r.unsharded_rps:,.0f} unsharded"
         )
-    # single-shard dispatch isolates the route lookup: within 5%
+    # single-shard dispatch isolates the route lookup: within 20%
     single = results[0]
     assert single.routed_rps >= single.unsharded_rps * MAX_SINGLE_SHARD_SLOWDOWN, (
         f"single-shard dispatch overhead regressed: "
@@ -110,8 +120,8 @@ def test_sharded_allocation_throughput(benchmark):
     )
     # scaling gate: the 4-shard federation must actually win
     four = results[-1]
-    assert four.federated_speedup >= MIN_FEDERATED_SPEEDUP, (
-        f"federated scaling regressed: {four.federated_speedup:.2f}x < "
+    assert four.modelled_federated_speedup >= MIN_FEDERATED_SPEEDUP, (
+        f"federated scaling regressed: {four.modelled_federated_speedup:.2f}x < "
         f"{MIN_FEDERATED_SPEEDUP}x at {four.n_shards} shards "
         f"(site spread {four.site_requests})"
     )

@@ -23,6 +23,7 @@ multi-tenant sims); the process-wide default is used otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -40,6 +41,9 @@ from .plancache import UNREACHABLE_HOPS, CandidatePlan, PlanCache
 from .partitioning import PartitionAssignment
 from .placement.base import PlacementAlgorithm
 from .storage import StorageRepository
+
+# sort key of the ``(key, ...)`` tuples the rank sites build
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,10 +216,10 @@ class AllocationServer:
             help="reads redirected to a backup replica after a failed transfer",
         )
         self._m_hop_cache_hits = obs.counter(
-            "alloc.hop_cache.hits", help="hop-distance lookups served from cache"
+            "alloc.hop_cache.hits", help="hop-distance rows served from cache"
         )
         self._m_hop_cache_misses = obs.counter(
-            "alloc.hop_cache.misses", help="hop-distance lookups requiring a BFS"
+            "alloc.hop_cache.misses", help="hop-distance rows built by a BFS"
         )
         self._m_hop_cache_invalidations = obs.counter(
             "alloc.hop_cache.invalidations",
@@ -223,14 +227,14 @@ class AllocationServer:
         )
         self._m_hop_partial_invalidations = obs.counter(
             "alloc.hop_index.partial_invalidations",
-            help="cached hop sources dropped by selective membership invalidation",
+            help="cached hop rows dropped by selective membership invalidation",
         )
         self._m_hop_evictions = obs.counter(
             "alloc.hop_index.evictions",
-            help="cached hop sources evicted by the index's LRU bound",
+            help="cached hop rows evicted by the index's size bound",
         )
         self._g_hop_index_size = obs.gauge(
-            "alloc.hop_index.size", help="hop sources currently cached by the index"
+            "alloc.hop_index.size", help="hop rows currently cached by the index"
         )
         self._m_resolve_batches = obs.counter(
             "alloc.resolve.batches", help="resolve_many() batches processed"
@@ -346,12 +350,12 @@ class AllocationServer:
     def _sync_hop_metrics(self) -> None:
         """Mirror the hop index's eviction count and size to obs.
 
-        Runs after every event that can change the index — lookups (hits
-        *and* misses), membership invalidations, and full rebuilds — so
-        the ``alloc.hop_index.size`` gauge can never go stale. The
-        historical bug: the sync only ran on cache misses, so an
-        invalidation followed by nothing but hits left the gauge at its
-        pre-invalidation value.
+        Runs after every event that can change the index — row builds
+        (cache misses), membership invalidations, and full rebuilds — so
+        the ``alloc.hop_index.size`` gauge can never go stale. A hit
+        changes nothing and skips the sync. The historical bug: the sync
+        only ran on cache misses, so an invalidation followed by nothing
+        but hits left the gauge at its pre-invalidation value.
         """
         fabric = self.fabric
         evicted = fabric.hops.evictions - fabric.hop_evictions_seen
@@ -371,10 +375,10 @@ class AllocationServer:
         The author must be a member of the social graph — the paper's trust
         boundary: only community members may host replicas. Registration is
         a membership change, so the hop index selectively invalidates:
-        only cached sources in the newcomer's connected component are
-        dropped (they are the only requesters whose view of the overlay
-        the newcomer can change); cached sources in other components keep
-        their entries. Dropped entries are counted on
+        only cached rows of sources in the newcomer's connected component
+        are dropped (they are the only sources whose view of the overlay
+        the newcomer can change); rows of sources in other components
+        stay. Dropped rows are counted on
         ``alloc.hop_index.partial_invalidations``.
         """
         if author not in self.fabric.graph:
@@ -815,27 +819,63 @@ class AllocationServer:
     # ------------------------------------------------------------------
     # discovery
     # ------------------------------------------------------------------
-    def _hops_from(self, requester: AuthorId) -> Dict[AuthorId, int]:
+    def _holder_hops(self, requester: AuthorId, placed: List[object]) -> List[int]:
+        """Hop distance from ``requester`` to the host of each of ``placed``
+        (replicas or peer leases — anything with a ``node_id``), in order.
+
+        The one rank gather behind every discovery path: each distance is
+        read off the *holder's* cached row at the requester's CSR position
+        (the graph is undirected), so a cold requester costs one list
+        index per holder instead of a BFS. :data:`UNREACHABLE_HOPS` stands
+        in for "no path" — a requester outside the graph, a holder outside
+        a swapped-in graph, or a holder in another component — and every
+        caller reports it as a ``social_hops`` of None.
+
+        Every row lookup counts on ``alloc.hop_cache.hits``/``misses``; a
+        requester outside the graph looks up no rows.
+        """
+        index = self.fabric.hops
+        col = index.position(requester)
+        if col is None:
+            return [UNREACHABLE_HOPS] * len(placed)
+        author_of = self._author_of_node
+        cached = index.rows.get
+        out: List[int] = []
+        append = out.append
+        misses = 0
+        for item in placed:
+            author = author_of[item.node_id]
+            row = cached(author)
+            if row is None:
+                row, _ = index.row(author)
+                misses += 1
+            d = row[col]
+            append(d if d >= 0 else UNREACHABLE_HOPS)
+        self._m_hop_cache_hits.inc(len(placed) - misses)
+        if misses:
+            self._m_hop_cache_misses.inc(misses)
+            self._sync_hop_metrics()
+        return out
+
+    def hops_from(self, requester: AuthorId) -> Dict[AuthorId, int]:
+        """Hop distances from ``requester`` over the trusted graph.
+
+        Built from ``requester``'s row in the
+        :class:`~repro.cdn.hopindex.HopIndex` behind :meth:`resolve`
+        (rebuilt on graph swaps, selectively invalidated on membership
+        events, bounded) — a fresh dict per call, O(V), so callers
+        looking up many authors should call it once. Authors unreachable
+        from the requester are absent; an unknown requester yields an
+        empty map. The row lookup counts on ``alloc.hop_cache.*``. The
+        migration planner scores promotion targets with this.
+        """
         hops, hit = self.fabric.hops.distances(requester)
         if hit:
             self._m_hop_cache_hits.inc()
         else:
             self._m_hop_cache_misses.inc()
-        self._sync_hop_metrics()
+            self._sync_hop_metrics()
         return hops
-
-    def hops_from(self, requester: AuthorId) -> Dict[AuthorId, int]:
-        """Hop distances from ``requester`` over the trusted graph.
-
-        Served from the :class:`~repro.cdn.hopindex.HopIndex` behind
-        :meth:`resolve` (rebuilt on graph swaps, selectively invalidated
-        on membership events, LRU-bounded). Treat the returned mapping as
-        read-only — it *is* the index's cache entry. Authors unreachable
-        from the requester are absent; an unknown requester yields an
-        empty map. The migration planner scores promotion targets with
-        this.
-        """
-        return self._hops_from(requester)
 
     def resolve_candidates(
         self,
@@ -849,8 +889,8 @@ class AllocationServer:
         Ordering matches :meth:`resolve`: social hop distance from the
         requester first (unknown distance sorts last), then load (fewest
         reads served), then node id for determinism. Load is looked up
-        once per distinct node before sorting — never inside the
-        comparison key.
+        once per candidate before sorting — never inside the comparison
+        key.
 
         With a peer registry installed (:meth:`set_peer_registry`), the
         registry's candidate leases join the ranking under the peer-tier
@@ -899,59 +939,49 @@ class AllocationServer:
             )
         if not reps and not peer_leases:
             return []
-        hops = self._hops_from(requester)
+        dists = self._holder_hops(requester, reps + peer_leases)
 
-        # Hoisted load lookups: one property read per distinct node, instead
-        # of a full RepositoryStats construction per comparison.
-        loads: Dict[NodeId, int] = {}
-        for r in reps:
-            if r.node_id not in loads:
-                loads[r.node_id] = self._repos[r.node_id].reads_served
-
-        def sort_key(r: Replica) -> Tuple[int, int, str]:
-            d = hops.get(self._author_of_node[r.node_id], 10**9)
-            return (d, loads[r.node_id], str(r.node_id))
-
+        repos = self._repos
         if not peer_leases:
-            reps.sort(key=sort_key)
+            keyed = [
+                ((d, repos[r.node_id].reads_served, str(r.node_id)), r, d)
+                for r, d in zip(reps, dists)
+            ]
+            keyed.sort(key=_first)
             if limit is not None:
-                reps = reps[:limit]
+                keyed = keyed[:limit]
             return [
                 ResolvedReplica(
-                    replica=r, social_hops=hops.get(self._author_of_node[r.node_id])
+                    replica=r, social_hops=None if d == UNREACHABLE_HOPS else d
                 )
-                for r in reps
+                for _key, r, d in keyed
             ]
 
         # Two-tier merge. Key: (hops, tier, load, node id) with tier 0 for
         # the repository and 1 for peers — a peer outranks a repository
         # replica iff strictly closer; ties stay with the catalog.
-        author_of = self._author_of_node
         merged: List[Tuple[Tuple[int, int, int, str], ResolvedReplica]] = []
-        for r in reps:
-            d = hops.get(author_of[r.node_id], 10**9)
+        for r, d in zip(reps, dists):
             merged.append(
                 (
-                    (d, 0, loads[r.node_id], str(r.node_id)),
+                    (d, 0, repos[r.node_id].reads_served, str(r.node_id)),
                     ResolvedReplica(
-                        replica=r, social_hops=hops.get(author_of[r.node_id])
+                        replica=r, social_hops=None if d == UNREACHABLE_HOPS else d
                     ),
                 )
             )
-        for lease in peer_leases:
-            node = lease.node_id
-            d = hops.get(author_of[node], 10**9)
+        for lease, d in zip(peer_leases, dists[len(reps):]):
             merged.append(
                 (
-                    (d, 1, lease.serves, str(node)),
+                    (d, 1, lease.serves, str(lease.node_id)),
                     ResolvedReplica(
                         replica=lease.replica,
-                        social_hops=hops.get(author_of[node]),
+                        social_hops=None if d == UNREACHABLE_HOPS else d,
                         peer=True,
                     ),
                 )
             )
-        merged.sort(key=lambda t: t[0])
+        merged.sort(key=_first)
         out = [entry for _key, entry in merged]
         if limit is not None:
             out = out[:limit]
@@ -1042,14 +1072,10 @@ class AllocationServer:
                 peer_raw = raw_count(segment_id)
         reps = self.catalog.replicas_of_segment(segment_id, servable_only=True)
         seg_epoch = self.catalog.epoch(segment_id)
-        hops = self._hops_from(requester) if reps else {}
-        author_of = self._author_of_node
-        keyed: List[Tuple[int, str, Replica]] = []
-        for r in reps:
-            node = r.node_id
-            keyed.append(
-                (hops.get(author_of[node], UNREACHABLE_HOPS), str(node), r)
-            )
+        dists = self._holder_hops(requester, reps)
+        keyed: List[Tuple[int, str, Replica]] = [
+            (d, str(r.node_id), r) for r, d in zip(reps, dists)
+        ]
         keyed.sort(key=lambda t: (t[0], t[1]))
         entries = []
         nodes = []
@@ -1195,8 +1221,7 @@ class AllocationServer:
         node_strs = plan.node_strs
         repositories = plan.repos
         hop_vals = plan.hop_vals
-        hops = self._hops_from(requester)
-        author_of = self._author_of_node
+        dists = self._holder_hops(requester, leases)
         merged: List[Tuple[Tuple[int, int, int, str], ResolvedReplica]] = []
         for i in survivors:
             merged.append(
@@ -1210,20 +1235,18 @@ class AllocationServer:
                     entries[i],
                 )
             )
-        for lease in leases:
-            node = lease.node_id
-            d = hops.get(author_of[node], UNREACHABLE_HOPS)
+        for lease, d in zip(leases, dists):
             merged.append(
                 (
-                    (d, 1, lease.serves, str(node)),
+                    (d, 1, lease.serves, str(lease.node_id)),
                     ResolvedReplica(
                         replica=lease.replica,
-                        social_hops=hops.get(author_of[node]),
+                        social_hops=None if d == UNREACHABLE_HOPS else d,
                         peer=True,
                     ),
                 )
             )
-        merged.sort(key=lambda t: t[0])
+        merged.sort(key=_first)
         out = [entry for _key, entry in merged]
         if limit is not None:
             out = out[:limit]

@@ -1,40 +1,45 @@
 """CSR-backed social hop index: the allocation servers' discovery fast path.
 
-Every ``resolve`` ranks replicas by social hop distance from the requester,
-which the pre-index implementation computed with a per-call Python BFS over
-the networkx adjacency — and cached in a dict that any membership change
-wiped wholesale. Iamnitchi et al. ("Locating Data in (Small-World?)
-Peer-to-Peer Scientific Collaborations") frame data location in scientific
-collaboration graphs as exactly this hop-bounded small-world search, worth
-a real index. :class:`HopIndex` provides one:
+Every ``resolve`` ranks replicas by social hop distance from the requester.
+Iamnitchi et al. ("Locating Data in (Small-World?) Peer-to-Peer Scientific
+Collaborations") frame data location in scientific collaboration graphs as
+exactly this hop-bounded small-world search, worth a real index — and
+observe that the data *holders* are few and clustered while the
+*requesters* are many. :class:`HopIndex` is built around that asymmetry:
 
 * the graph's adjacency is compiled once into numpy CSR arrays
   (:meth:`~repro.social.graph.CoauthorshipGraph.csr_adjacency`), so a BFS
   expands whole frontiers with vectorized gathers instead of per-node
   Python loops;
-* full single-source distance maps are cached under an LRU bound
-  (``max_sources``), so memory stays proportional to the active requester
-  set, not the author universe;
+* the cache holds **distance rows**: one plain list per source, indexed by
+  CSR position (:meth:`position`), ``-1`` for unreached nodes. The graph
+  is undirected, so ``hops(requester, holder)`` is
+  ``row(holder)[position(requester)]`` — discovery keys rows by replica
+  *holder*, and a handful of rows answers every requester. A cold
+  requester costs one list index per replica, not a BFS;
+* the cache is bounded by ``max_sources`` rows and evicts the oldest-built
+  row first. A hit never reorders anything: it is one dict lookup and one
+  list index, so the warm resolve path stays as cheap as a plain dict;
 * bounded-radius queries (:meth:`within`) stop the BFS at a hop limit;
 * invalidation is **selective**: a membership event touching one author
-  drops only cached sources in that author's connected component
+  drops only cached rows of sources in that author's connected component
   (:meth:`invalidate_reachable`) instead of clearing everything — sources
   in other components provably cannot have changed reachability.
 
 The index is a pure data structure — no observability, no locking; the
 :class:`~repro.cdn.allocation.AllocationServer` wires its counters
-(``alloc.hop_cache.*`` hit/miss continuity plus the new
-``alloc.hop_index.*`` family) around it.
+(``alloc.hop_cache.*`` row hit/miss plus the ``alloc.hop_index.*`` family)
+around it.
 
 Distance semantics are identical to :func:`repro.social.ego.hop_distances`
-restricted to one source: the source maps to 0, unreachable authors are
-absent, and a source outside the graph yields an empty map (cached too, so
-repeat lookups by outside requesters stay O(1)).
+restricted to one source: the source is at 0, unreachable authors have
+no distance, and a source outside the graph reaches nobody (its row is the
+shared all-unreached row, cached like any other so repeat lookups stay
+O(1)).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,7 +50,7 @@ from ..social.graph import CoauthorshipGraph
 
 
 class HopIndex:
-    """Single-source hop distances over a fixed graph, cached with an LRU.
+    """Single-source hop-distance rows over a fixed graph, in a bounded cache.
 
     Parameters
     ----------
@@ -53,9 +58,16 @@ class HopIndex:
         The social graph to index. The index snapshots its structure at
         construction; a graph swap means building a new :class:`HopIndex`.
     max_sources:
-        Maximum number of cached single-source distance maps. The least
-        recently used entry is evicted beyond this bound (each eviction
-        increments :attr:`evictions`).
+        Maximum number of cached distance rows. Beyond this bound the
+        oldest-built row is evicted (each eviction increments
+        :attr:`evictions`).
+
+    Attributes
+    ----------
+    rows:
+        The row cache, ``source -> row``. Read-only for callers: the
+        allocation server's rank gather reads it directly so that a warm
+        lookup is one ``dict.get``; :meth:`row` fills it.
     """
 
     def __init__(self, graph: CoauthorshipGraph, *, max_sources: int = 1024) -> None:
@@ -68,8 +80,11 @@ class HopIndex:
         self._index: Dict[AuthorId, int] = {a: i for i, a in enumerate(self._nodes)}
         self._indptr, self._indices = graph.csr_adjacency()
         self._component = self._label_components()
-        self._cache: "OrderedDict[AuthorId, Dict[AuthorId, int]]" = OrderedDict()
-        #: cumulative LRU evictions since construction
+        # the row of every source outside the graph: it reaches nobody
+        self._unreached: List[int] = [-1] * len(self._nodes)
+        # insertion order is eviction order; hits never reorder
+        self.rows: Dict[AuthorId, List[int]] = {}
+        #: cumulative row evictions since construction
         self.evictions = 0
 
     # ------------------------------------------------------------------
@@ -82,11 +97,16 @@ class HopIndex:
 
     @property
     def n_cached(self) -> int:
-        """Number of cached single-source distance maps."""
-        return len(self._cache)
+        """Number of cached distance rows."""
+        return len(self.rows)
 
     def __contains__(self, author: object) -> bool:
         return author in self._index
+
+    def position(self, author: AuthorId) -> Optional[int]:
+        """CSR position of ``author`` — its slot in every distance row —
+        or None if the author is not indexed."""
+        return self._index.get(author)
 
     def component_of(self, author: AuthorId) -> Optional[int]:
         """Connected-component label of ``author`` (None if not indexed).
@@ -101,62 +121,79 @@ class HopIndex:
         return int(self._component[i])
 
     def is_cached(self, source: AuthorId) -> bool:
-        """Whether a distance map for ``source`` is cached (no LRU touch)."""
-        return source in self._cache
+        """Whether a distance row for ``source`` is cached."""
+        return source in self.rows
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def row(self, source: AuthorId) -> Tuple[List[int], bool]:
+        """Distance row of ``source`` and whether it came from the cache.
+
+        ``row[position(a)]`` is the hop distance from ``source`` to ``a``,
+        ``-1`` when ``a`` is unreachable. A source outside the graph gets
+        the all-unreached row. The row *is* the cache entry — treat it as
+        read-only. A miss runs one BFS and may evict the oldest row.
+        """
+        cached = self.rows.get(source)
+        if cached is not None:
+            return cached, True
+        i = self._index.get(source)
+        row = self._unreached if i is None else self._bfs(i).tolist()
+        rows = self.rows
+        rows[source] = row
+        if len(rows) > self.max_sources:
+            del rows[next(iter(rows))]
+            self.evictions += 1
+        return row, False
+
     def distances(self, source: AuthorId) -> Tuple[Dict[AuthorId, int], bool]:
         """Hop distances from ``source`` to every reachable author.
 
-        Returns ``(hops, hit)`` where ``hit`` says whether the map came
-        from the cache. The returned dict *is* the cache entry — treat it
-        as read-only (the allocation server's public ``hops_from`` carries
-        the same contract). A source outside the graph yields ``{}``.
+        Returns ``(hops, hit)`` where ``hit`` says whether the underlying
+        row came from the cache. The dict is built from the row on every
+        call (O(V)); hot paths index :meth:`row` instead. A source outside
+        the graph yields ``{}``.
         """
-        cached = self._cache.get(source)
-        if cached is not None:
-            self._cache.move_to_end(source)
-            return cached, True
-        hops = self._bfs_dict(source, None)
-        self._cache[source] = hops
-        if len(self._cache) > self.max_sources:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-        return hops, False
+        row, hit = self.row(source)
+        nodes = self._nodes
+        return {nodes[j]: d for j, d in enumerate(row) if d >= 0}, hit
 
     def within(self, source: AuthorId, max_hops: int) -> Dict[AuthorId, int]:
         """Authors within ``max_hops`` of ``source`` with their distances.
 
-        Served by slicing the cached full map when one exists; otherwise a
+        Served by slicing the cached row when one exists; otherwise a
         radius-bounded BFS that stops expanding at ``max_hops`` (the
-        bounded result is *not* cached — it would poison full-map reuse).
+        bounded result is *not* cached — it would poison full-row reuse).
         """
         if max_hops < 0:
             raise ConfigurationError(f"max_hops must be >= 0, got {max_hops}")
-        cached = self._cache.get(source)
+        nodes = self._nodes
+        cached = self.rows.get(source)
         if cached is not None:
-            self._cache.move_to_end(source)
-            return {a: d for a, d in cached.items() if d <= max_hops}
-        return self._bfs_dict(source, max_hops)
+            return {nodes[j]: d for j, d in enumerate(cached) if 0 <= d <= max_hops}
+        i = self._index.get(source)
+        if i is None:
+            return {}
+        dist = self._bfs(i, max_hops)
+        return {nodes[int(j)]: int(dist[j]) for j in np.flatnonzero(dist >= 0)}
 
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
     def invalidate_source(self, source: AuthorId) -> bool:
-        """Drop the cached map of one source. Returns whether it existed."""
-        return self._cache.pop(source, None) is not None
+        """Drop the cached row of one source. Returns whether it existed."""
+        return self.rows.pop(source, None) is not None
 
     def invalidate_reachable(self, author: AuthorId) -> int:
-        """Drop every cached source in ``author``'s connected component.
+        """Drop every cached row whose source is in ``author``'s component.
 
         This is the selective-invalidation rule for membership events: a
         change at ``author`` can only matter to sources that can reach it,
-        i.e. sources in the same component. Cached sources in other
-        components — and sources outside the graph entirely (whose maps
-        are empty, and registration adds no edges) — keep their entries.
-        Returns the number of entries dropped.
+        i.e. sources in the same component. Cached rows of sources in other
+        components — and of sources outside the graph entirely (which reach
+        nobody, and registration adds no edges) — stay. Returns the number
+        of rows dropped.
         """
         i = self._index.get(author)
         if i is None:
@@ -164,32 +201,22 @@ class HopIndex:
         comp = int(self._component[i])
         doomed = [
             s
-            for s in self._cache
+            for s in self.rows
             if (j := self._index.get(s)) is not None and int(self._component[j]) == comp
         ]
         for s in doomed:
-            del self._cache[s]
+            del self.rows[s]
         return len(doomed)
 
     def invalidate_all(self) -> int:
-        """Drop every cached map. Returns the number of entries dropped."""
-        n = len(self._cache)
-        self._cache.clear()
+        """Drop every cached row. Returns the number of rows dropped."""
+        n = len(self.rows)
+        self.rows.clear()
         return n
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _bfs_dict(
-        self, source: AuthorId, max_hops: Optional[int]
-    ) -> Dict[AuthorId, int]:
-        i = self._index.get(source)
-        if i is None:
-            return {}
-        dist = self._bfs(i, max_hops)
-        nodes = self._nodes
-        return {nodes[int(j)]: int(dist[j]) for j in np.flatnonzero(dist >= 0)}
-
     def _bfs(self, start: int, max_hops: Optional[int] = None) -> np.ndarray:
         """Frontier-vectorized BFS from node index ``start``.
 

@@ -457,11 +457,13 @@ class MigrationPlanner:
         server = self.server
         requesters = self.demand.top_requesters(segment_id, n=5)
         if requesters:
+            # one O(V) distance map per top requester, not per candidate
+            weighted = [(server.hops_from(req), weight) for req, weight in requesters]
             best: Optional[Tuple[float, int, str, AuthorId]] = None
             for author in sorted(eligible):
                 score = 0.0
-                for req, weight in requesters:
-                    d = server.hops_from(req).get(author)
+                for hops, weight in weighted:
+                    d = hops.get(author)
                     score += weight * (d if d is not None else _UNREACHABLE_HOPS)
                 load = server.repository(server.node_of(author)).reads_served
                 key = (score, load, str(author), author)

@@ -756,11 +756,18 @@ class ShardedAllocationRouter:
         replicas the requester can reach, and every result is flagged
         ``degraded=True``.
         """
-        site = self._site_of_segment(segment_id)
+        site = self._site_memo.get(segment_id)
+        if site is None:
+            site = self._site_of_segment(segment_id)
         candidates = self.shards[site].resolve_candidates(
             segment_id, requester, limit=limit
         )
-        if candidates and self._degraded_site(site, requester):
+        # a whole network (the common case) never degrades: skip the call
+        if (
+            candidates
+            and self.fabric.reachability is not None
+            and self._degraded_site(site, requester)
+        ):
             candidates = [
                 ResolvedReplica(
                     replica=c.replica,

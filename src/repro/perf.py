@@ -29,7 +29,7 @@ import os
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
 from .ids import AuthorId, DatasetId, NodeId, SegmentId
@@ -168,8 +168,13 @@ class ShardBenchResult:
     identical: bool
 
     @property
-    def federated_speedup(self) -> float:
-        """Partition-parallel federation throughput over the unsharded server's."""
+    def modelled_federated_speedup(self) -> float:
+        """Partition-parallel federation throughput over the unsharded server's.
+
+        *Modelled*: the sites run one after another on one host and the
+        slowest site's wall clock stands in for the federation's, so the
+        figure also absorbs each site's smaller working set (hop rows,
+        servable views) — it is not measured parallelism."""
         return (
             self.federated_rps / self.unsharded_rps if self.unsharded_rps else 0.0
         )
@@ -184,7 +189,7 @@ class ShardBenchResult:
             f"unsharded server:   {self.unsharded_rps:,.0f} rps",
             f"routed (1 thread):  {self.routed_rps:,.0f} rps",
             f"federated (1/site): {self.federated_rps:,.0f} rps "
-            f"({self.federated_speedup:.1f}x, slowest-site wall clock)",
+            f"({self.modelled_federated_speedup:.1f}x modelled, slowest-site wall clock)",
             f"workload per site:  [{spread}]",
             f"differential check: {'identical' if self.identical else 'DIVERGED'}",
         ]
@@ -195,13 +200,12 @@ class PlanCacheBenchResult:
     """Steady-state resolve throughput with the plan cache on vs. off.
 
     Two deployments are built from the same seed and operation order —
-    one with the resolve plan cache enabled, one without. Both get a full
-    warm-up pass over the workload before their timed pass, so
-    ``indexed_rps`` is the indexed path at its steady state (hop-index
-    LRU as warm as the workload lets it be) and ``plan_warm_rps`` is the
-    cache at its steady state (every plan resident, epoch checks + load
-    tie-break only). ``plan_cold_rps`` times the warm-up pass itself —
-    the build-everything worst case.
+    one with the resolve plan cache enabled, one without. Both are timed
+    at steady state after a warm-up pass, so ``indexed_rps`` is the
+    indexed path with every holder's hop row resident and
+    ``plan_warm_rps`` is the cache with every plan resident (epoch checks
+    + load tie-break only). ``plan_cold_rps`` times the cached server's
+    first pass — the build-everything worst case.
 
     ``identical`` is the differential guarantee over every distinct
     ``(segment, requester)`` pair: cached output equals the uncached
@@ -357,6 +361,33 @@ def _request_workload(
     ]
 
 
+_Workload = List[Tuple[SegmentId, AuthorId]]
+
+
+def _steady_pass_s(
+    runs: List[Tuple[Callable[[SegmentId, AuthorId], object], _Workload]],
+    rounds: int = 15,
+) -> List[float]:
+    """Fastest timed pass of each ``(resolve, workload)`` run, in order.
+
+    Every run first gets one untimed warm-up pass (hop rows and site
+    memos resident). Each of ``rounds`` rounds then times one pass of
+    every run back to back, so a slow spell on a shared host lands on
+    all runs alike instead of on whichever happened to be timed then.
+    """
+    for resolve, workload in runs:
+        for seg, req in workload:
+            resolve(seg, req)
+    best = [float("inf")] * len(runs)
+    for _ in range(rounds):
+        for i, (resolve, workload) in enumerate(runs):
+            t0 = perf_counter()
+            for seg, req in workload:
+                resolve(seg, req)
+            best[i] = min(best[i], perf_counter() - t0)
+    return [max(b, 1e-9) for b in best]
+
+
 def resolve_throughput(
     *,
     far_clusters: int = 40,
@@ -438,7 +469,10 @@ def shard_throughput(
     timed through the router, one timed site by site, so neither
     measurement inherits the other's warm hop index). Owners are spread
     across communities (``spread_owners=True``) so the community-keyed
-    partition routes real work to every site.
+    partition routes real work to every site. Every mode is timed at its
+    steady state (:func:`_steady_pass_s`: warm-up, then the fastest of
+    fifteen interleaved passes), so one-off hop-row builds and host noise
+    do not swamp a resolve that costs microseconds.
 
     ``federated_rps`` models one allocation server per site: each site
     serves only its own partition of the workload, and the federation's
@@ -469,16 +503,6 @@ def shard_throughput(
     assert list(segments) == list(r_segments)
     workload = _request_workload(segments, authors, requests)
 
-    t0 = perf_counter()
-    for seg, req in workload:
-        server.resolve_candidates(seg, req)
-    unsharded_s = max(perf_counter() - t0, 1e-9)
-
-    t0 = perf_counter()
-    for seg, req in workload:
-        router.resolve_candidates(seg, req)
-    routed_s = max(perf_counter() - t0, 1e-9)
-
     # Partition-parallel measurement on a fresh federation: each site's
     # shard serves its own requests; the federation finishes when the
     # slowest site does.
@@ -487,13 +511,14 @@ def shard_throughput(
     for seg, req in workload:
         by_site.setdefault(fed._site_of_segment(seg), []).append((seg, req))
     site_requests = [len(by_site.get(s, ())) for s in range(n_shards)]
-    slowest = 1e-9
-    for site, site_load in by_site.items():
-        shard = fed.shards[site]
-        t0 = perf_counter()
-        for seg, req in site_load:
-            shard.resolve_candidates(seg, req)
-        slowest = max(slowest, perf_counter() - t0)
+    unsharded_s, routed_s, *site_s = _steady_pass_s(
+        [(server.resolve_candidates, workload), (router.resolve_candidates, workload)]
+        + [
+            (fed.shards[site].resolve_candidates, site_load)
+            for site, site_load in by_site.items()
+        ]
+    )
+    slowest = max(site_s)
 
     identical = True
     for seg, req in sorted(set(workload), key=lambda t: (str(t[0]), str(t[1]))):
@@ -533,13 +558,14 @@ def plan_cache_throughput(
     """Measure steady-state resolve throughput with the plan cache on vs off.
 
     Twin deployments (same graph, seed, placements, replica ids), one
-    with :meth:`AllocationServer.enable_plan_cache`, one without. Each
-    mode runs the full workload once unmeasured (warm-up) and once timed,
-    so both numbers are steady-state: the indexed baseline keeps whatever
-    hop-index residency the workload sustains, the cached path keeps
-    every plan resident (the default workload has at most ``requests``
-    distinct pairs — keep ``max_plans`` at or above that, or the timed
-    pass measures eviction thrash instead of hits).
+    with :meth:`AllocationServer.enable_plan_cache`, one without. The
+    cached server's first pass builds every plan and is timed as the
+    cold number; both modes are then timed at steady state
+    (:func:`_steady_pass_s`): the indexed baseline with every holder's
+    hop row resident, the cached path with every plan resident (the
+    default workload has at most ``requests`` distinct pairs — keep
+    ``max_plans`` at or above that, or the timed passes measure
+    eviction thrash instead of hits).
 
     The differential check replays every distinct pair against the cached
     server, the uncached server, and the pre-index reference, comparing
@@ -564,21 +590,13 @@ def plan_cache_throughput(
     cached.enable_plan_cache(max_plans=max_plans)
     workload = _request_workload(segments, authors, requests)
 
-    for seg, req in workload:  # indexed warm-up (hop-index residency)
-        base.resolve_candidates(seg, req)
     t0 = perf_counter()
-    for seg, req in workload:
-        base.resolve_candidates(seg, req)
-    indexed_s = max(perf_counter() - t0, 1e-9)
-
-    t0 = perf_counter()
-    for seg, req in workload:  # plan warm-up, timed as the cold number
+    for seg, req in workload:  # every plan built here: the cold number
         cached.resolve_candidates(seg, req)
     cold_s = max(perf_counter() - t0, 1e-9)
-    t0 = perf_counter()
-    for seg, req in workload:
-        cached.resolve_candidates(seg, req)
-    warm_s = max(perf_counter() - t0, 1e-9)
+    indexed_s, warm_s = _steady_pass_s(
+        [(base.resolve_candidates, workload), (cached.resolve_candidates, workload)]
+    )
 
     identical = True
     for seg, req in sorted(set(workload), key=lambda t: (str(t[0]), str(t[1]))):
@@ -802,7 +820,7 @@ def bench_to_dict(
                 "unsharded_rps": s.unsharded_rps,
                 "routed_rps": s.routed_rps,
                 "federated_rps": s.federated_rps,
-                "federated_speedup": s.federated_speedup,
+                "modelled_federated_speedup": s.modelled_federated_speedup,
                 "site_requests": s.site_requests,
                 "identical": s.identical,
             }

@@ -70,39 +70,45 @@ class TestHopCacheInvalidation:
         ds = segment_dataset(DatasetId("d"), AuthorId("a"), 100)
         server.publish_dataset(ds, n_replicas=2)
         seg = ds.segments[0].segment_id
-        server.resolve(seg, AuthorId("a"))  # populate the index
-        assert server.hop_index.is_cached(AuthorId("a"))
+        server.resolve(seg, AuthorId("c"))  # populate the holders' rows
+        holders = [AuthorId("a"), AuthorId("b")]
+        assert all(server.hop_index.is_cached(h) for h in holders)
+        # rows are keyed by replica holder, never by requester
+        assert not server.hop_index.is_cached(AuthorId("c"))
         before = reg.counter("alloc.hop_index.partial_invalidations").value
         server.register_repository(
             AuthorId("c"), StorageRepository(NodeId("node-c"), 10_000)
         )
-        # c is connected to the cached source a, so a's entry is dropped —
+        # c is connected to both cached holders, so both rows are dropped —
         # selectively, not via a full flush
-        assert not server.hop_index.is_cached(AuthorId("a"))
-        assert reg.counter("alloc.hop_index.partial_invalidations").value == before + 1
+        assert not any(server.hop_index.is_cached(h) for h in holders)
+        assert reg.counter("alloc.hop_index.partial_invalidations").value == before + 2
         assert reg.counter("alloc.hop_cache.invalidations").value == 0
 
     def test_register_disconnected_keeps_cached_sources(self):
-        """Registering a node with no social path to any cached source must
-        keep their entries (the over-invalidation regression)."""
+        """Registering a node with no social path to any cached holder must
+        keep their rows (the over-invalidation regression)."""
         g = graph_of(pub("p1", 2009, "a", "b"), pub("p2", 2009, "x", "y"))
         reg = Registry()
         server = make_server(g, ["a", "b"], registry=reg)
         ds = segment_dataset(DatasetId("d"), AuthorId("a"), 100)
         server.publish_dataset(ds, n_replicas=2)
         seg = ds.segments[0].segment_id
-        server.resolve(seg, AuthorId("a"))  # cache source a
-        assert server.hop_index.is_cached(AuthorId("a"))
+        server.resolve(seg, AuthorId("a"))  # cache holder rows a and b
+        holders = [AuthorId("a"), AuthorId("b")]
+        assert all(server.hop_index.is_cached(h) for h in holders)
         server.register_repository(
             AuthorId("x"), StorageRepository(NodeId("node-x"), 10_000)
         )
-        # x lives in the {x, y} island: a's cached distances are untouched
-        assert server.hop_index.is_cached(AuthorId("a"))
+        # x lives in the {x, y} island: the holders' rows are untouched
+        assert all(server.hop_index.is_cached(h) for h in holders)
         assert reg.counter("alloc.hop_index.partial_invalidations").value == 0
         server.resolve(seg, AuthorId("a"))
-        assert reg.counter("alloc.hop_cache.hits").value == 1
+        assert reg.counter("alloc.hop_cache.hits").value == 2  # both rows
 
     def test_hit_miss_counters(self):
+        """The counters count holder-row lookups: the first resolve builds
+        one row per holder, after which every requester hits."""
         g = graph_of(pub("p1", 2009, "a", "b"))
         reg = Registry()
         server = make_server(g, ["a", "b"], registry=reg)
@@ -111,9 +117,13 @@ class TestHopCacheInvalidation:
         seg = ds.segments[0].segment_id
         server.resolve(seg, AuthorId("a"))
         server.resolve(seg, AuthorId("a"))
-        server.resolve(seg, AuthorId("b"))
-        assert reg.counter("alloc.hop_cache.misses").value == 2  # a and b
-        assert reg.counter("alloc.hop_cache.hits").value == 1
+        server.resolve(seg, AuthorId("b"))  # a new requester, warm rows
+        assert reg.counter("alloc.hop_cache.misses").value == 2  # rows a and b
+        assert reg.counter("alloc.hop_cache.hits").value == 4
+        # a requester outside the graph looks up no rows
+        server.resolve(seg, AuthorId("ghost"))
+        assert reg.counter("alloc.hop_cache.hits").value == 4
+        assert reg.counter("alloc.hop_cache.misses").value == 2
 
 
 class TestStateTransitionTimestamps:

@@ -1,10 +1,11 @@
 """Unit tests for the CSR-backed :class:`repro.cdn.hopindex.HopIndex`.
 
-The index must be a drop-in for per-call BFS: every distance map it serves
-is checked against :func:`repro.social.ego.hop_distances` restricted to one
-source, across connected, disconnected, and trivial graphs. The rest of
-the class — LRU bounding, bounded-radius queries, component labels and the
-selective-invalidation predicate — is covered structurally.
+The index must be a drop-in for per-call BFS: every distance map and row
+it serves is checked against :func:`repro.social.ego.hop_distances`
+restricted to one source, across connected, disconnected, and trivial
+graphs. The rest of the class — the bounded row cache, bounded-radius
+queries, component labels and the selective-invalidation predicate — is
+covered structurally.
 """
 
 from __future__ import annotations
@@ -88,6 +89,47 @@ class TestBfsEquivalence:
         assert index.distances(AuthorId("a"))[0] == {}
 
 
+class TestRows:
+    @pytest.mark.parametrize("fixture", ["chain", "two_islands"])
+    def test_row_matches_hop_distances(self, fixture, request):
+        graph = request.getfixturevalue(fixture)
+        index = HopIndex(graph)
+        for source in graph.nodes():
+            row, hit = index.row(source)
+            assert not hit
+            want = hop_distances(graph, {source})
+            for author in graph.nodes():
+                assert row[index.position(author)] == want.get(author, -1)
+
+    def test_row_is_symmetric(self, two_islands):
+        """The graph is undirected: a holder's row answers every requester."""
+        index = HopIndex(two_islands)
+        for s in two_islands.nodes():
+            for t in two_islands.nodes():
+                assert (
+                    index.row(s)[0][index.position(t)]
+                    == index.row(t)[0][index.position(s)]
+                )
+
+    def test_row_is_the_cache_entry(self, chain):
+        index = HopIndex(chain)
+        row, _ = index.row(AuthorId("b"))
+        assert index.rows[AuthorId("b")] is row
+        again, hit = index.row(AuthorId("b"))
+        assert hit and again is row
+
+    def test_outside_source_reaches_nobody(self, chain):
+        index = HopIndex(chain)
+        row, hit = index.row(AuthorId("ghost"))
+        assert not hit and row == [-1] * index.n_nodes
+        assert index.row(AuthorId("ghost"))[1]
+
+    def test_position(self, chain):
+        index = HopIndex(chain)
+        assert sorted(index.position(a) for a in chain.nodes()) == [0, 1, 2, 3]
+        assert index.position(AuthorId("ghost")) is None
+
+
 class TestCacheBehavior:
     def test_second_lookup_hits(self, chain):
         index = HopIndex(chain)
@@ -100,7 +142,7 @@ class TestCacheBehavior:
         index = HopIndex(chain, max_sources=2)
         index.distances(AuthorId("a"))
         index.distances(AuthorId("b"))
-        # a is the LRU entry; is_cached must not refresh it
+        # a is the oldest row; is_cached must not keep it
         assert index.is_cached(AuthorId("a"))
         index.distances(AuthorId("c"))  # evicts a, not b
         assert not index.is_cached(AuthorId("a"))
@@ -114,14 +156,16 @@ class TestCacheBehavior:
         assert index.evictions == 2
         assert index.is_cached(AuthorId("c")) and index.is_cached(AuthorId("d"))
 
-    def test_hit_refreshes_lru_order(self, chain):
+    def test_hit_does_not_reorder_eviction(self, chain):
+        """Hits are a plain dict lookup: the oldest-built row goes first
+        no matter how recently it was read."""
         index = HopIndex(chain, max_sources=2)
-        index.distances(AuthorId("a"))
-        index.distances(AuthorId("b"))
-        index.distances(AuthorId("a"))  # refresh a; b becomes LRU
-        index.distances(AuthorId("c"))  # evicts b
-        assert index.is_cached(AuthorId("a"))
-        assert not index.is_cached(AuthorId("b"))
+        index.row(AuthorId("a"))
+        index.row(AuthorId("b"))
+        assert index.row(AuthorId("a"))[1]  # a hit; a stays the oldest row
+        index.row(AuthorId("c"))  # evicts a
+        assert not index.is_cached(AuthorId("a"))
+        assert index.is_cached(AuthorId("b"))
 
     def test_max_sources_must_be_positive(self, chain):
         with pytest.raises(ConfigurationError):

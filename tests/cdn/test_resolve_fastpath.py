@@ -241,12 +241,17 @@ class TestEvictionAccounting:
                 AuthorId(a), StorageRepository(NodeId(f"node-{a}"), 10_000)
             )
         ds = segment_dataset(DatasetId("d"), AuthorId("a"), 100)
-        server.publish_dataset(ds, n_replicas=2)
+        server.publish_dataset(ds, n_replicas=4)  # four holders, two rows
         seg = ds.segments[0].segment_id
-        for a in ["a", "b", "c", "d"]:
-            server.resolve(seg, AuthorId(a), record=False)
+        server.resolve(seg, AuthorId("a"), record=False)
         assert server.hop_index.evictions == 2
         assert reg.counter("alloc.hop_index.evictions").value == 2
+        assert reg.gauge("alloc.hop_index.size").value == 2
+        # the two oldest rows were evicted, so every row is built again
+        server.resolve(seg, AuthorId("d"), record=False)
+        assert server.hop_index.evictions == 6
+        assert reg.counter("alloc.hop_index.evictions").value == 6
+        assert reg.counter("alloc.hop_cache.misses").value == 8
         assert reg.gauge("alloc.hop_index.size").value == 2
 
     def test_gauge_synced_on_index_rebuild(self):
@@ -264,7 +269,7 @@ class TestEvictionAccounting:
         assert server.hop_index.n_cached == 0
 
     def test_gauge_synced_on_membership_invalidation(self):
-        """Registering a repository drops reachable cached sources; the
+        """Registering a repository drops reachable cached rows; the
         gauge must reflect that without waiting for a miss."""
         g = graph_of(pub("p1", 2009, "a", "b"), pub("p2", 2009, "b", "c"))
         server = make_server(g, ["a", "b"])  # c in graph, not yet registered
@@ -280,7 +285,7 @@ class TestEvictionAccounting:
         server.register_repository(
             AuthorId("c"), StorageRepository(NodeId("node-c"), 10_000)
         )
-        # a and b both reach c, so both cached sources were invalidated
+        # holders a and b both reach c, so both cached rows were invalidated
         assert server.hop_index.n_cached == 0
         assert server_reg.gauge("alloc.hop_index.size").value == 0
 
@@ -291,9 +296,175 @@ class TestEvictionAccounting:
         server, segments, authors = build_resolve_deployment(
             far_clusters=2, registry=reg
         )
-        server.resolve_candidates(segments[0], authors[0])  # one cached source
+        ranked = server.resolve_candidates(segments[0], authors[0])
         size = reg.gauge("alloc.hop_index.size").value
-        assert size == 1
-        for _ in range(5):
-            server.resolve_candidates(segments[0], authors[0])  # hits only
+        assert size == len(ranked)  # one cached row per holder
+        for req in authors[:5]:
+            server.resolve_candidates(segments[0], req)  # hits only
+        assert reg.counter("alloc.hop_cache.misses").value == size
         assert reg.gauge("alloc.hop_index.size").value == size
+
+
+class TestHolderRowDifferential:
+    """Holder-keyed rows under constant eviction rank exactly like a fresh
+    per-call BFS from the requester — on the uncached path, on plan
+    builds, and through the two-tier peer merge."""
+
+    def _deployment(self):
+        from repro.cdn.allocation import AllocationServer
+        from repro.cdn.placement import RandomPlacement
+        from repro.cdn.storage import StorageRepository
+        from repro.sim.scenarios import scenario_graph
+
+        graph = scenario_graph(far_clusters=40)
+        # two rows for ~18 holders: nearly every lookup evicts
+        server = AllocationServer(
+            graph, RandomPlacement(), seed=7, registry=Registry(), hop_cache_sources=2
+        )
+        authors = sorted(graph.nodes())
+        for author in authors:
+            server.register_repository(
+                author, StorageRepository(NodeId(f"node-{author}"), 10_000_000)
+            )
+        segments = []
+        for i in range(6):
+            ds = segment_dataset(DatasetId(f"diff-{i}"), authors[i * 20], 1_000)
+            server.publish_dataset(ds, n_replicas=3)
+            segments.extend(s.segment_id for s in ds.segments)
+        return server, segments, authors
+
+    @staticmethod
+    def _reference(server, segment, requester):
+        """resolve_candidates_reference, merged with the peer tier under the
+        ``(hops, tier, load, node id)`` rule when a registry is installed."""
+        from repro.social.ego import hop_distances
+
+        repo = resolve_candidates_reference(server, segment, requester)
+        peers = server.fabric.peer_registry
+        if peers is None:
+            return [(*t, False) for t in ranking(repo)]
+        leases = peers.candidates(
+            segment,
+            requester_node=server.fabric.node_of_author.get(requester),
+            exclude_nodes=[c.replica.node_id for c in repo],
+        )
+        hops = (
+            hop_distances(server.graph, {requester}) if requester in server.graph else {}
+        )
+        keyed = [
+            (
+                (c.social_hops if c.social_hops is not None else 10**9, 0,
+                 server.repository(c.replica.node_id).reads_served,
+                 str(c.replica.node_id)),
+                (c.replica.replica_id, c.replica.node_id, c.social_hops, False),
+            )
+            for c in repo
+        ]
+        for lease in leases:
+            d = hops.get(server.author_of(lease.node_id))
+            keyed.append(
+                (
+                    (d if d is not None else 10**9, 1, lease.serves, str(lease.node_id)),
+                    (lease.replica.replica_id, lease.node_id, d, True),
+                )
+            )
+        keyed.sort(key=lambda t: t[0])
+        return [entry for _key, entry in keyed]
+
+    def _check_all(self, server, segments, requesters):
+        def got(seg, req):
+            return [
+                (c.replica.replica_id, c.replica.node_id, c.social_hops, c.peer)
+                for c in server.resolve_candidates(seg, req)
+            ]
+
+        for seg in segments:
+            for req in requesters:
+                assert got(seg, req) == self._reference(server, seg, req), (seg, req)
+        server.enable_plan_cache()
+        for _ in range(2):  # plan builds, then cached plans
+            for seg in segments:
+                for req in requesters:
+                    assert got(seg, req) == self._reference(server, seg, req), (
+                        seg,
+                        req,
+                    )
+        server.disable_plan_cache()
+
+    def _holders(self, server, segment):
+        return [
+            server.author_of(r.node_id)
+            for r in server.catalog.replicas_of_segment(segment, servable_only=True)
+        ]
+
+    def test_every_requester_matches_reference(self):
+        server, segments, authors = self._deployment()
+        ghost = AuthorId("nobody-knows-me")
+        self._check_all(server, segments, authors + [ghost])
+        assert server.hop_index.n_cached <= 2
+        assert server.hop_index.evictions > 0
+        assert all(c.social_hops is None for c in server.resolve_candidates(segments[0], ghost))
+
+    def test_disconnected_component(self):
+        from repro.social.graph import CoauthorshipGraph
+
+        server, segments, authors = self._deployment()
+        holder = next(
+            h for h in self._holders(server, segments[0]) if not h.startswith("near")
+        )
+        g = server.graph.nx.copy()
+        # cut the holder's clique off the hub: its bridge is the clique
+        # member adjacent to near-1
+        clique = {holder, *g.neighbors(holder)} - {AuthorId("near-1")}
+        for member in clique:
+            if g.has_edge(member, AuthorId("near-1")):
+                g.remove_edge(member, AuthorId("near-1"))
+        server.graph = CoauthorshipGraph(g, seed=server.graph.seed)
+        assert server.hop_index.component_of(holder) != server.hop_index.component_of(
+            AuthorId("near-1")
+        )
+        self._check_all(server, segments, authors)
+        # the island's members still reach the island's holder
+        ranked = server.resolve_candidates(segments[0], holder)
+        assert ranked[0].social_hops == 0
+
+    def test_peer_lease_holders(self):
+        from repro.cdn.peers import PeerRegistry
+        from repro.sim.engine import SimulationEngine
+
+        server, segments, authors = self._deployment()
+        peers = PeerRegistry(server.fabric, SimulationEngine(), registry=Registry())
+        server.set_peer_registry(peers)
+        minted = 0
+        for i, seg in enumerate(segments):
+            holders = set(self._holders(server, seg))
+            offers = [a for a in authors[i :: 9] if a not in holders][:4]
+            for author in offers:
+                lease = peers.offer(
+                    server.node_of(author), server.catalog.segment(seg), at=0.0
+                )
+                minted += lease is not None
+        assert minted > 0
+        self._check_all(server, segments, authors + [AuthorId("nobody-knows-me")])
+        assert any(
+            c.peer
+            for seg in segments
+            for req in authors
+            for c in server.resolve_candidates(seg, req)[:1]
+        )
+
+    def test_graph_swap_drops_a_holder(self):
+        from repro.social.graph import CoauthorshipGraph
+
+        server, segments, authors = self._deployment()
+        self._check_all(server, segments, authors[:30])  # warm some rows
+        dropped = self._holders(server, segments[1])[0]
+        g = server.graph.nx.copy()
+        g.remove_node(dropped)
+        server.graph = CoauthorshipGraph(g, seed=server.graph.seed)
+        assert dropped not in server.hop_index
+        self._check_all(server, segments, authors)
+        # the dropped holder is still servable but unreachable from anyone
+        for c in server.resolve_candidates(segments[1], authors[0]):
+            if server.author_of(c.replica.node_id) == dropped:
+                assert c.social_hops is None
