@@ -37,13 +37,16 @@ from .catalog import ReplicaCatalog, ReplicaIdAllocator
 from .content import Dataset, Replica, ReplicaState
 from .demand import DemandTracker
 from .hopindex import HopIndex
-from .plancache import UNREACHABLE_HOPS, CandidatePlan, PlanCache
 from .partitioning import PartitionAssignment
 from .placement.base import PlacementAlgorithm
 from .storage import StorageRepository
 
 # sort key of the ``(key, ...)`` tuples the rank sites build
 _first = itemgetter(0)
+
+#: hop-distance sentinel for "requester has no social path to this host";
+#: sorts after every real distance and is reported as ``social_hops=None``
+UNREACHABLE_HOPS = 10**9
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,13 +120,6 @@ class AllocationFabric:
         # high-water mark of index evictions already mirrored to obs; the
         # index is replaced on graph swaps, so the mark resets with it
         self.hop_evictions_seen = 0
-        #: fabric-level plan epoch: bumped by every fabric event that can
-        #: change a structural ranking for *any* segment — graph swaps,
-        #: repository registration, oracle/peer-registry installs, and
-        #: partition start/heal/reconcile (bumped by the failure layer and
-        #: the sharded router). Resolve plan caches validate against it;
-        #: with no plan cache enabled nothing reads it.
-        self.plan_epoch = 0
 
 
 class AllocationServer:
@@ -179,9 +175,6 @@ class AllocationServer:
         self._offline = fabric.offline
         self._state_log = fabric.state_log
         self._dataset_budget: Dict[DatasetId, int] = {}
-        #: resolve plan cache (:mod:`repro.cdn.plancache`); None = disabled,
-        #: which keeps every resolve path byte-for-byte the uncached one
-        self._plan_cache: Optional[PlanCache] = None
 
         self.obs = registry if registry is not None else get_registry()
         obs = self.obs
@@ -289,22 +282,6 @@ class AllocationServer:
             help="reads recorded on repository replicas (record_served); the "
             "denominator's repository share when computing peer offload",
         )
-        self._m_plan_hits = obs.counter(
-            "alloc.plan_cache.hits",
-            help="resolves served from a cached candidate plan",
-        )
-        self._m_plan_misses = obs.counter(
-            "alloc.plan_cache.misses",
-            help="resolves that built (or rebuilt) a candidate plan",
-        )
-        self._m_plan_invalidations = obs.counter(
-            "alloc.plan_cache.invalidations",
-            help="cached candidate plans dropped by an epoch mismatch",
-        )
-        self._g_plan_size = obs.gauge(
-            "alloc.plan_cache.size",
-            help="candidate plans currently resident in the plan cache",
-        )
 
     # ------------------------------------------------------------------
     # graph (overlay fabric)
@@ -342,7 +319,6 @@ class AllocationServer:
         fabric = self.fabric
         fabric.hops = HopIndex(fabric.graph, max_sources=fabric.hop_cache_sources)
         fabric.hop_evictions_seen = 0
-        fabric.plan_epoch += 1
         self._sync_hop_metrics()
         self._m_hop_cache_invalidations.inc()
         self.obs.trace("hop_cache_invalidate", reason=reason)
@@ -393,7 +369,6 @@ class AllocationServer:
         self._repos[node] = repository
         self._node_of_author[author] = node
         self._author_of_node[node] = author
-        self.fabric.plan_epoch += 1
         dropped = self.fabric.hops.invalidate_reachable(author)
         if dropped:
             self._m_hop_partial_invalidations.inc(dropped)
@@ -459,27 +434,30 @@ class AllocationServer:
         if oracle is not None and not callable(oracle):
             raise ConfigurationError("liveness oracle must be callable or None")
         self.fabric.liveness = oracle
-        self.fabric.plan_epoch += 1
 
     def set_reachability_oracle(self, model: Optional[object]) -> None:
         """Install a network reachability oracle (typically the
         deployment's :class:`~repro.sim.network.NetworkModel`).
 
-        The oracle is any object exposing ``reachable(a, b) -> bool`` and
-        a ``partitioned`` property. While it reports a partition,
-        discovery filters candidates down to replicas the *requester's
-        node* can actually reach — a replica across the partition
-        boundary is unservable no matter how alive its host is. When the
-        network is whole the filter is a no-op (resolution stays
+        The oracle must expose ``reachable(a, b) -> bool`` and a
+        ``partitioned`` property; anything else raises
+        :class:`~repro.errors.ConfigurationError`. While it reports a
+        partition, discovery filters candidates down to replicas the
+        *requester's node* can actually reach — a replica across the
+        partition boundary is unservable no matter how alive its host is.
+        When the network is whole the filter is a no-op (resolution stays
         bit-identical to a partition-unaware server). Pass ``None`` to
         remove.
         """
-        if model is not None and not callable(getattr(model, "reachable", None)):
+        if model is not None and not (
+            callable(getattr(model, "reachable", None))
+            and hasattr(model, "partitioned")
+        ):
             raise ConfigurationError(
-                "reachability oracle must expose reachable(a, b) or be None"
+                "reachability oracle must expose reachable(a, b) and "
+                "partitioned, or be None"
             )
         self.fabric.reachability = model
-        self.fabric.plan_epoch += 1
 
     def set_peer_registry(self, peers: Optional[object]) -> None:
         """Install a peer-tier registry (:class:`repro.cdn.peers.PeerRegistry`).
@@ -498,7 +476,6 @@ class AllocationServer:
                 "peer registry must expose candidates(segment_id, ...) or be None"
             )
         self.fabric.peer_registry = peers
-        self.fabric.plan_epoch += 1
 
     def _is_live(self, node: NodeId) -> bool:
         """Server-side liveness: not offline, and alive per the oracle."""
@@ -909,23 +886,14 @@ class AllocationServer:
         which is exactly how a failed or digest-mismatched peer read
         falls back to the repository tier.
         Returns an empty list when nothing is servable.
-
-        With the resolve plan cache enabled (:meth:`enable_plan_cache`)
-        the ranking is served from a cached
-        :class:`~repro.cdn.plancache.CandidatePlan` whenever its epochs
-        are current — byte-identical output, an order of magnitude less
-        work. Disabled (the default) this method is exactly the uncached
-        path below.
         """
-        if self._plan_cache is not None:
-            return self._resolve_candidates_planned(segment_id, requester, limit)
         reps = [
             r
             for r in self.catalog.replicas_of_segment(segment_id, servable_only=True)
             if self._is_live(r.node_id)
         ]
         net = self.fabric.reachability
-        if reps and net is not None and getattr(net, "partitioned", False):
+        if reps and net is not None and net.partitioned:
             origin = self._node_of_author.get(requester)
             if origin is not None:
                 reps = [r for r in reps if net.reachable(origin, r.node_id)]
@@ -971,271 +939,6 @@ class AllocationServer:
                 )
             )
         for lease, d in zip(peer_leases, dists[len(reps):]):
-            merged.append(
-                (
-                    (d, 1, lease.serves, str(lease.node_id)),
-                    ResolvedReplica(
-                        replica=lease.replica,
-                        social_hops=None if d == UNREACHABLE_HOPS else d,
-                        peer=True,
-                    ),
-                )
-            )
-        merged.sort(key=_first)
-        out = [entry for _key, entry in merged]
-        if limit is not None:
-            out = out[:limit]
-        return out
-
-    # ------------------------------------------------------------------
-    # resolve plan cache
-    # ------------------------------------------------------------------
-    @property
-    def plan_cache(self) -> Optional[PlanCache]:
-        """The resolve plan cache, or None while disabled (the default)."""
-        return self._plan_cache
-
-    def enable_plan_cache(self, *, max_plans: int = 4096) -> PlanCache:
-        """Turn on the resolve plan cache (:mod:`repro.cdn.plancache`).
-
-        Structural rankings are memoized per ``(segment, requester)`` and
-        revalidated against catalog/fabric/peer epochs at every lookup;
-        only the load tie-break (and any active liveness/reachability
-        filter) is applied per resolve. Output is byte-identical to the
-        uncached path — asserted differentially in tests and CI — the
-        only observable differences are speed and counter traffic (cached
-        resolves skip the hop-cache and servable-view lookups the
-        uncached path performs per call).
-
-        Idempotent: enabling an enabled server returns the existing cache
-        unchanged (``max_plans`` is not re-applied).
-        """
-        if self._plan_cache is None:
-            self._plan_cache = PlanCache(max_plans=max_plans)
-            self._g_plan_size.set(0)
-            self.obs.trace("plan_cache_enable", max_plans=max_plans)
-        return self._plan_cache
-
-    def disable_plan_cache(self) -> None:
-        """Drop every cached plan and return to the uncached resolve path."""
-        if self._plan_cache is not None:
-            self._plan_cache.clear()
-            self._plan_cache = None
-            self._g_plan_size.set(0)
-            self.obs.trace("plan_cache_disable")
-
-    def _plan_valid(self, plan: CandidatePlan, segment_id: SegmentId) -> bool:
-        """Whether a cached plan's structural inputs are unchanged.
-
-        Three epoch sources: the fabric plan epoch (graph swaps,
-        registrations, oracle installs, partition reconcile), the
-        catalog's per-segment epoch (replica creation and every state
-        transition), and the peer registry's plan epoch. The peer check
-        only applies to plans built while the segment had **no** raw
-        leases (``peer_raw == 0``): such plans skip the per-lookup
-        ``candidates()`` call, so a mint anywhere must force a rebuild.
-        Plans built with leases present (``peer_raw > 0``) or against a
-        registry without epochs (``peer_raw == -1``) consult the registry
-        fresh on every lookup and stay valid across lease churn.
-        """
-        if plan.fabric_epoch != self.fabric.plan_epoch:
-            return False
-        if plan.seg_epoch != self.catalog.epoch(segment_id):
-            return False
-        peers = self.fabric.peer_registry
-        if peers is None or plan.peer_raw != 0:
-            return True
-        return plan.peer_epoch == getattr(peers, "plan_epoch", -1)
-
-    def _build_plan(self, segment_id: SegmentId, requester: AuthorId) -> CandidatePlan:
-        """Compute the structural ranking of ``(segment, requester)``.
-
-        Every servable replica — no liveness/reachability filtering, those
-        are lookup-time concerns — sorted by ``(hops, node id)`` with the
-        volatile load component left out. Raises
-        :class:`~repro.errors.CatalogError` for unknown segments exactly
-        like the uncached path.
-        """
-        fabric = self.fabric
-        peers = fabric.peer_registry
-        if peers is None:
-            peer_epoch = -1
-            peer_raw = -1
-        else:
-            peer_epoch = getattr(peers, "plan_epoch", -1)
-            raw_count = getattr(peers, "raw_lease_count", None)
-            if peer_epoch < 0 or raw_count is None:
-                # duck-typed registry without epoch bookkeeping: consult
-                # candidates() on every lookup instead of trusting epochs
-                peer_raw = -1
-            else:
-                peer_raw = raw_count(segment_id)
-        reps = self.catalog.replicas_of_segment(segment_id, servable_only=True)
-        seg_epoch = self.catalog.epoch(segment_id)
-        dists = self._holder_hops(requester, reps)
-        keyed: List[Tuple[int, str, Replica]] = [
-            (d, str(r.node_id), r) for r, d in zip(reps, dists)
-        ]
-        keyed.sort(key=lambda t: (t[0], t[1]))
-        entries = []
-        nodes = []
-        node_strs = []
-        repositories = []
-        hop_vals = []
-        for d, node_str, r in keyed:
-            entries.append(
-                ResolvedReplica(
-                    replica=r,
-                    social_hops=None if d == UNREACHABLE_HOPS else d,
-                )
-            )
-            nodes.append(r.node_id)
-            node_strs.append(node_str)
-            repositories.append(self._repos[r.node_id])
-            hop_vals.append(d)
-        return CandidatePlan(
-            entries=entries,
-            nodes=nodes,
-            node_strs=node_strs,
-            repos=repositories,
-            hop_vals=hop_vals,
-            seg_epoch=seg_epoch,
-            fabric_epoch=fabric.plan_epoch,
-            peer_epoch=peer_epoch,
-            peer_raw=peer_raw,
-        )
-
-    def _resolve_candidates_planned(
-        self,
-        segment_id: SegmentId,
-        requester: AuthorId,
-        limit: Optional[int],
-    ) -> List[ResolvedReplica]:
-        """:meth:`resolve_candidates` served from the plan cache.
-
-        Byte-identical to the uncached path: the structural sort key
-        ``(hops, node id)`` is independent of liveness/reachability, so
-        filtering the pre-sorted plan preserves structural order, and the
-        load tie-break only ever reorders entries *within* a hop-tie
-        group — exactly what the full ``(hops, load, node id)`` sort
-        would have produced.
-        """
-        cache = self._plan_cache
-        key = (segment_id, requester)
-        plan = cache.get(key)
-        if plan is not None and not self._plan_valid(plan, segment_id):
-            cache.drop(key)
-            self._m_plan_invalidations.inc()
-            self.obs.trace(
-                "plan_cache_invalidate",
-                segment=str(segment_id),
-                requester=str(requester),
-            )
-            plan = None
-        if plan is None:
-            self._m_plan_misses.inc()
-            plan = self._build_plan(segment_id, requester)
-            cache.put(key, plan)
-            self._g_plan_size.set(len(cache))
-        else:
-            self._m_plan_hits.inc()
-
-        fabric = self.fabric
-        entries = plan.entries
-        nodes = plan.nodes
-        node_strs = plan.node_strs
-        repositories = plan.repos
-
-        offline = self._offline
-        liveness = fabric.liveness
-        net = fabric.reachability
-        origin: Optional[NodeId] = None
-        if net is not None and getattr(net, "partitioned", False):
-            origin = self._node_of_author.get(requester)
-
-        # survivors: plan indices that pass the lookup-time filters, still
-        # in structural order; groups: hop-tie spans within survivors
-        if not offline and liveness is None and origin is None:
-            survivors = list(range(len(entries)))
-            groups = plan.runs
-        else:
-            survivors = []
-            groups = []
-            for start, stop in plan.runs:
-                group_at = len(survivors)
-                for i in range(start, stop):
-                    node = nodes[i]
-                    if node in offline:
-                        continue
-                    if liveness is not None and not liveness(node):
-                        continue
-                    if origin is not None and not net.reachable(origin, node):
-                        continue
-                    survivors.append(i)
-                if len(survivors) > group_at:
-                    groups.append((group_at, len(survivors)))
-
-        peers = fabric.peer_registry
-        if peers is not None and plan.peer_raw != 0:
-            leases = peers.candidates(
-                segment_id,
-                requester_node=self._node_of_author.get(requester),
-                exclude_nodes=[nodes[i] for i in survivors],
-            )
-            if leases:
-                return self._merge_plan_peers(
-                    plan, survivors, leases, requester, limit
-                )
-
-        if not survivors:
-            return []
-        out = [entries[i] for i in survivors]
-        for start, stop in groups:
-            if stop - start > 1:
-                span = survivors[start:stop]
-                span.sort(
-                    key=lambda i: (repositories[i].reads_served, node_strs[i])
-                )
-                out[start:stop] = [entries[i] for i in span]
-        if limit is not None:
-            out = out[:limit]
-        return out
-
-    def _merge_plan_peers(
-        self,
-        plan: CandidatePlan,
-        survivors: List[int],
-        leases: List[object],
-        requester: AuthorId,
-        limit: Optional[int],
-    ) -> List[ResolvedReplica]:
-        """Two-tier merge of a plan's surviving entries with peer leases.
-
-        Same key as the uncached merge — ``(hops, tier, load, node id)``
-        with tier 0 for the repository and 1 for peers; keys are unique
-        (one replica and at most one lease per node, repository hosts
-        excluded from the lease query), so the sort is deterministic
-        regardless of input order.
-        """
-        entries = plan.entries
-        node_strs = plan.node_strs
-        repositories = plan.repos
-        hop_vals = plan.hop_vals
-        dists = self._holder_hops(requester, leases)
-        merged: List[Tuple[Tuple[int, int, int, str], ResolvedReplica]] = []
-        for i in survivors:
-            merged.append(
-                (
-                    (
-                        int(hop_vals[i]),
-                        0,
-                        repositories[i].reads_served,
-                        node_strs[i],
-                    ),
-                    entries[i],
-                )
-            )
-        for lease, d in zip(leases, dists):
             merged.append(
                 (
                     (d, 1, lease.serves, str(lease.node_id)),
@@ -1357,12 +1060,14 @@ class AllocationServer:
         on one unresolvable segment).
 
         The batch amortizes the per-call overhead of the single-request
-        path: hop-index lookups are shared across requests from the same
-        requester within the batch, per-request outcome counters
-        (``alloc.resolve.total`` / ``failed`` / ``unreachable``, hop
-        histogram, hop-cache hit/miss) move exactly as ``len(requests)``
-        sequential :meth:`resolve` calls would, but latency is measured
-        once per batch (``alloc.resolve.batch_latency_s``, plus the
+        path. Hop distances come from the holder-keyed rows every resolve
+        reads, so a row built for one request serves every later request
+        for a segment on that holder, whoever the requester. Per-request
+        outcome counters (``alloc.resolve.total`` / ``failed`` /
+        ``unreachable``, hop histogram, hop-cache hit/miss) move exactly
+        as ``len(requests)`` sequential :meth:`resolve` calls would, but
+        latency is measured once per batch
+        (``alloc.resolve.batch_latency_s``, plus the
         ``alloc.resolve.batches`` counter and one ``resolve_batch`` trace
         event) instead of per request — no per-request ``resolve`` traces,
         no per-request ``perf_counter`` pairs.
@@ -1581,7 +1286,7 @@ class AllocationServer:
         is a no-op (identical RNG draws to a partition-unaware repair).
         """
         net = self.fabric.reachability
-        if origin is None or net is None or not getattr(net, "partitioned", False):
+        if origin is None or net is None or not net.partitioned:
             reach = None
         else:
             reach = net.reachable

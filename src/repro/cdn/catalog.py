@@ -72,13 +72,6 @@ class ReplicaCatalog:
         # or changes state. Every state transition flows through the catalog
         # methods below, so the cache cannot go stale.
         self._servable_cache: Dict[SegmentId, List[Replica]] = {}
-        # per-segment mutation epoch: bumped on every event that can change
-        # the servable view (the same sites that drop _servable_cache, plus
-        # dataset registration). Entries survive unregister_dataset so a
-        # re-registered segment id can never validate a plan cached against
-        # its previous life. Downstream caches (the allocation tier's
-        # resolve plan cache) validate against this.
-        self._epoch: Dict[SegmentId, int] = {}
         self._ids = id_allocator if id_allocator is not None else ReplicaIdAllocator()
         obs = registry if registry is not None else get_registry()
         self._m_servable_hits = obs.counter(
@@ -91,22 +84,14 @@ class ReplicaCatalog:
         )
         self._m_servable_invalidations = obs.counter(
             "catalog.servable_cache.invalidations",
-            help="replica mutations that dropped a segment's memoized servable "
-            "view and bumped its epoch",
+            help="replica mutations that dropped a segment's memoized servable view",
         )
 
     def _invalidate(self, segment_id: SegmentId) -> None:
         """A replica of ``segment_id`` was created or changed state: drop
-        the memoized servable view and advance the segment epoch."""
+        the memoized servable view."""
         self._servable_cache.pop(segment_id, None)
-        self._epoch[segment_id] = self._epoch.get(segment_id, 0) + 1
         self._m_servable_invalidations.inc()
-
-    def epoch(self, segment_id: SegmentId) -> int:
-        """Mutation epoch of ``segment_id``'s servable view (0 if never
-        touched). Strictly monotonic per segment id, including across
-        unregister/re-register cycles."""
-        return self._epoch.get(segment_id, 0)
 
     # ------------------------------------------------------------------
     # datasets
@@ -119,10 +104,6 @@ class ReplicaCatalog:
         for seg in dataset.segments:
             self._segments[seg.segment_id] = seg
             self._by_segment.setdefault(seg.segment_id, [])
-            # epoch bump without the invalidation counter: no memoized view
-            # can exist for a segment that was not resolvable, but any plan
-            # cached against this segment id's previous life must die here
-            self._epoch[seg.segment_id] = self._epoch.get(seg.segment_id, 0) + 1
 
     def unregister_dataset(self, dataset_id: DatasetId) -> None:
         """Remove a dataset whose replicas are all retired (or absent).

@@ -219,14 +219,6 @@ class PeerRegistry:
         #: is deterministic without sorting on the hot path
         self._leases: Dict[NodeId, Dict[SegmentId, PeerLease]] = {}
 
-        #: lease-population epoch for the allocation tier's resolve plan
-        #: cache: bumped when a lease is minted or closed (expiry, evict,
-        #: leave, crash — every removal funnels through _close). Renewals
-        #: leave it alone: they cannot change any segment's raw-lease
-        #: count, and plans built over live leases re-consult
-        #: :meth:`candidates` on every lookup anyway.
-        self.plan_epoch = 0
-
         self.obs = registry if registry is not None else get_registry()
         obs = self.obs
         self._m_admitted = obs.counter(
@@ -362,7 +354,6 @@ class PeerRegistry:
             label=f"peer-lease-expiry:{node}:{segment.segment_id}",
         )
         per_node[segment.segment_id] = lease
-        self.plan_epoch += 1
         self._m_admitted.inc()
         self._sync_gauges()
         self.obs.trace(
@@ -398,7 +389,7 @@ class PeerRegistry:
         """
         excluded: Set[NodeId] = set(exclude_nodes)
         net = self.fabric.reachability
-        partitioned = net is not None and getattr(net, "partitioned", False)
+        partitioned = net is not None and net.partitioned
         out: List[PeerLease] = []
         for node, per_node in self._leases.items():
             if node == requester_node or node in excluded:
@@ -418,19 +409,6 @@ class PeerRegistry:
                 continue
             out.append(lease)
         return out
-
-    def raw_lease_count(self, segment_id: SegmentId) -> int:
-        """Leases of ``segment_id`` currently *recorded* — active or not.
-
-        The resolve plan cache's skip rule: a plan built while this is
-        zero may skip the per-lookup :meth:`candidates` call until
-        :attr:`plan_epoch` moves; any nonzero count (even a draining
-        husk) forces the plan to consult fresh, because activity and
-        serve caps change without epoch bumps.
-        """
-        return sum(
-            1 for per_node in self._leases.values() if segment_id in per_node
-        )
 
     # ------------------------------------------------------------------
     # serving
@@ -537,7 +515,6 @@ class PeerRegistry:
             per_node.pop(lease.segment_id, None)
             if not per_node:
                 del self._leases[lease.node_id]
-        self.plan_epoch += 1
         self._sync_gauges()
 
     def evict(

@@ -466,7 +466,7 @@ class ShardedAllocationRouter:
         requester's node cannot reach the site's coordinator. Always
         False on a whole network — the fast path is untouched."""
         net = self.fabric.reachability
-        if net is None or not getattr(net, "partitioned", False):
+        if net is None or not net.partitioned:
             return False
         origin = self.fabric.node_of_author.get(requester)
         if origin is None:
@@ -713,33 +713,6 @@ class ShardedAllocationRouter:
         return replicas
 
     # ------------------------------------------------------------------
-    # resolve plan cache (per-site caches over the shared fabric)
-    # ------------------------------------------------------------------
-    def enable_plan_cache(self, *, max_plans: int = 4096) -> None:
-        """Enable the resolve plan cache on every shard.
-
-        Each site keeps a private plan cache over its own catalog (a
-        segment's plans live with its owning shard) while epoch sources
-        on the shared fabric — graph swaps, registrations, oracle
-        installs, partition reconcile — invalidate across all of them at
-        once. Idempotent, like the single-server method.
-        """
-        for shard in self.shards:
-            shard.enable_plan_cache(max_plans=max_plans)
-
-    def disable_plan_cache(self) -> None:
-        """Disable the resolve plan cache on every shard."""
-        for shard in self.shards:
-            shard.disable_plan_cache()
-
-    @property
-    def plan_cache(self):
-        """The home shard's plan cache (None while disabled) — the
-        representative handle for metrics/tests; every shard holds its
-        own."""
-        return self._home.plan_cache
-
-    # ------------------------------------------------------------------
     # discovery — routed by segment
     # ------------------------------------------------------------------
     def resolve_candidates(
@@ -972,7 +945,7 @@ class ShardedAllocationRouter:
         to the owning coordinator's side of the partition.
         """
         net = self.fabric.reachability
-        partitioned = net is not None and getattr(net, "partitioned", False)
+        partitioned = net is not None and net.partitioned
         home_origin = self._site_origin(0) if partitioned else None
         created: List[Replica] = []
         for segment_id, live in self.under_replicated():
@@ -1012,10 +985,6 @@ class ShardedAllocationRouter:
         lost. Returns a :class:`ReconcileReport`.
         """
         self._m_reconciles.inc()
-        # the replayed writes and closing repair below rewrite catalog
-        # state wholesale; one fabric-level epoch bump retires every
-        # cached resolve plan built against the partition-era structure
-        self.fabric.plan_epoch += 1
         pending = self._handoff
         self._handoff = []
         self._handoff_repairs = set()

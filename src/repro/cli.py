@@ -233,7 +233,6 @@ def cmd_chaos(args) -> int:
         partition_fraction=args.partition_fraction,
         peer_tier=args.peer_tier,
         peer_leave_rate_s=args.peer_leave_rate,
-        plan_cache=args.plan_cache,
     )
     if args.flash_graph:
         # The flash-crowd topology (far origin clique bridged to a dense
@@ -753,17 +752,6 @@ def cmd_perf(args) -> int:
     bench), which is what the CI shard-equivalence gate uses; a
     ``--shards`` run is shard-focused and skips the campaign bench.
 
-    ``--plan-cache`` additionally runs the resolve-plan-cache bench
-    (indexed path vs. cold-cache vs. warm-cache on twin deployments)
-    and extends the exit gate with its own differential check (planned
-    rankings bit-identical to the indexed path and the reference) plus
-    a warm-over-indexed speed gate: ``--min-plan-speedup`` (default
-    1.2 — with holder-keyed hop rows the indexed path is a few list
-    lookups per replica at any scale, so the cache's edge is ~2x, not
-    the orders of magnitude it had over per-requester BFS). Like the
-    shard bench it runs under ``--quick``, which is what the CI
-    plan-cache differential gate uses.
-
     ``--profile N`` runs the resolve loop (and, unless ``--quick`` or
     ``--shards``, a short campaign) under :mod:`cProfile` and prints
     the top-N entries by cumulative time; with ``--json`` the entries
@@ -774,7 +762,6 @@ def cmd_perf(args) -> int:
     from .perf import (
         bench_to_dict,
         campaign_speedup,
-        plan_cache_throughput,
         profile_campaign,
         profile_resolve,
         resolve_throughput,
@@ -808,29 +795,12 @@ def cmd_perf(args) -> int:
         shard_results.append(sb)
         shards_ok = shards_ok and sb.identical
 
-    plan = None
-    plan_ok = True
-    if args.plan_cache:
-        plan = plan_cache_throughput(far_clusters=scale, requests=requests)
-        print()
-        for line in plan.lines():
-            print(line)
-        min_plan = args.min_plan_speedup
-        plan_speed_ok = plan.speedup >= min_plan
-        verdict = "ok" if plan_speed_ok else "FAIL"
-        print(
-            f"plan-cache gate: {plan.speedup:.2f}x >= "
-            f"{min_plan:.2f}x required ... {verdict}"
-        )
-        plan_ok = plan.identical and plan_speed_ok
-
     profile = None
     if args.profile:
         profile = {
             "resolve": profile_resolve(
                 far_clusters=scale,
                 requests=requests,
-                plan_cache=args.plan_cache,
                 top_n=args.profile,
             )
         }
@@ -878,7 +848,6 @@ def cmd_perf(args) -> int:
                         resolve,
                         campaign,
                         shard_results or None,
-                        plan_cache=plan,
                         profile=profile,
                     ),
                     fh,
@@ -892,7 +861,6 @@ def cmd_perf(args) -> int:
     ok = (
         resolve.identical
         and shards_ok
-        and plan_ok
         and (campaign is None or campaign.identical)
         and speedup_ok
     )
@@ -900,7 +868,6 @@ def cmd_perf(args) -> int:
         print(
             f"FAIL: resolve_identical={resolve.identical} "
             f"shards_identical={shards_ok if shard_results else 'n/a'} "
-            f"plan_ok={plan_ok if plan else 'n/a'} "
             f"campaign_identical={campaign.identical if campaign else 'n/a'} "
             f"speedup_ok={speedup_ok}",
             file=sys.stderr,
@@ -999,10 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peer-leave-rate", type=float, default=0.0,
                    help="abrupt peer-departure (churn) rate per second "
                         "(needs --peer-tier; 0 disables)")
-    p.add_argument("--plan-cache", action="store_true",
-                   help="resolve reads through the epoch-invalidated "
-                        "plan cache (off: bit-identical to the uncached "
-                        "path)")
     p.add_argument("--min-offload", type=float, default=None,
                    help="require a peer offload ratio strictly greater "
                         "than this for exit status 0 (use with --peer-tier)")
@@ -1060,13 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail if campaign speedup falls below this when the "
                         "machine has at least --workers usable cores "
                         "(0 disables the gate)")
-    p.add_argument("--plan-cache", action="store_true",
-                   help="also run the resolve-plan-cache bench (indexed vs "
-                        "cold vs warm cache) and gate on its differential "
-                        "check and warm speedup")
-    p.add_argument("--min-plan-speedup", type=float, default=1.2,
-                   help="warm-cache-over-indexed speedup required by the "
-                        "--plan-cache gate (default 1.2)")
     p.add_argument("--profile", type=int, metavar="N", default=None,
                    help="profile the resolve loop (and the campaign unless "
                         "--quick/--shards) under cProfile and print the "

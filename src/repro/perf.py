@@ -195,58 +195,6 @@ class ShardBenchResult:
         ]
 
 
-@dataclass(frozen=True)
-class PlanCacheBenchResult:
-    """Steady-state resolve throughput with the plan cache on vs. off.
-
-    Two deployments are built from the same seed and operation order —
-    one with the resolve plan cache enabled, one without. Both are timed
-    at steady state after a warm-up pass, so ``indexed_rps`` is the
-    indexed path with every holder's hop row resident and
-    ``plan_warm_rps`` is the cache with every plan resident (epoch checks
-    + load tie-break only). ``plan_cold_rps`` times the cached server's
-    first pass — the build-everything worst case.
-
-    ``identical`` is the differential guarantee over every distinct
-    ``(segment, requester)`` pair: cached output equals the uncached
-    server's equals :func:`resolve_candidates_reference`'s.
-    """
-
-    far_clusters: int
-    graph_nodes: int
-    requests: int
-    max_plans: int
-    indexed_rps: float
-    plan_cold_rps: float
-    plan_warm_rps: float
-    hits: int
-    misses: int
-    invalidations: int
-    plans_resident: int
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        """Warm plan-cache throughput over the steady-state indexed path's."""
-        return self.plan_warm_rps / self.indexed_rps if self.indexed_rps else 0.0
-
-    def lines(self) -> List[str]:
-        """Human-readable summary, one finding per line."""
-        return [
-            f"resolve plan cache: {self.graph_nodes}-node scenario graph "
-            f"(scale {self.far_clusters}), {self.requests} requests per mode, "
-            f"{self.max_plans} plan slots",
-            f"indexed, steady state:   {self.indexed_rps:,.0f} rps",
-            f"plan cache, cold pass:   {self.plan_cold_rps:,.0f} rps "
-            f"(every plan built here)",
-            f"plan cache, steady state:{self.plan_warm_rps:,.0f} rps "
-            f"({self.speedup:.1f}x)",
-            f"cache traffic: {self.hits} hits / {self.misses} misses / "
-            f"{self.invalidations} invalidations, {self.plans_resident} resident",
-            f"differential check: {'identical' if self.identical else 'DIVERGED'}",
-        ]
-
-
 def _bench_owners(
     graph, authors: List[AuthorId], datasets: int, spread_owners: bool
 ) -> List[AuthorId]:
@@ -546,93 +494,6 @@ def shard_throughput(
     )
 
 
-def plan_cache_throughput(
-    *,
-    far_clusters: int = 400,
-    datasets: int = 12,
-    n_replicas: int = 3,
-    requests: int = 4000,
-    seed: int = 7,
-    max_plans: int = 4096,
-) -> PlanCacheBenchResult:
-    """Measure steady-state resolve throughput with the plan cache on vs off.
-
-    Twin deployments (same graph, seed, placements, replica ids), one
-    with :meth:`AllocationServer.enable_plan_cache`, one without. The
-    cached server's first pass builds every plan and is timed as the
-    cold number; both modes are then timed at steady state
-    (:func:`_steady_pass_s`): the indexed baseline with every holder's
-    hop row resident, the cached path with every plan resident (the
-    default workload has at most ``requests`` distinct pairs — keep
-    ``max_plans`` at or above that, or the timed passes measure
-    eviction thrash instead of hits).
-
-    The differential check replays every distinct pair against the cached
-    server, the uncached server, and the pre-index reference, comparing
-    full ``(replica id, hops)`` rankings.
-    """
-    if requests < 1:
-        raise ConfigurationError(f"requests must be >= 1, got {requests}")
-
-    build = dict(
-        far_clusters=far_clusters,
-        datasets=datasets,
-        n_replicas=n_replicas,
-        seed=seed,
-        spread_owners=True,
-    )
-    base, segments, authors = build_resolve_deployment(**build)
-    cached_registry = Registry()
-    cached, c_segments, _ = build_resolve_deployment(
-        **build, registry=cached_registry
-    )
-    assert list(segments) == list(c_segments)
-    cached.enable_plan_cache(max_plans=max_plans)
-    workload = _request_workload(segments, authors, requests)
-
-    t0 = perf_counter()
-    for seg, req in workload:  # every plan built here: the cold number
-        cached.resolve_candidates(seg, req)
-    cold_s = max(perf_counter() - t0, 1e-9)
-    indexed_s, warm_s = _steady_pass_s(
-        [(base.resolve_candidates, workload), (cached.resolve_candidates, workload)]
-    )
-
-    identical = True
-    for seg, req in sorted(set(workload), key=lambda t: (str(t[0]), str(t[1]))):
-        planned = cached.resolve_candidates(seg, req)
-        flat = base.resolve_candidates(seg, req)
-        ref = resolve_candidates_reference(base, seg, req)
-        keys = [
-            [(c.replica.replica_id, c.social_hops) for c in cs]
-            for cs in (planned, flat, ref)
-        ]
-        if keys[0] != keys[1] or keys[0] != keys[2]:
-            identical = False
-            break
-
-    counters = cached_registry.snapshot()["counters"]
-
-    def _count(name: str) -> int:
-        entry = counters.get(name)
-        return int(entry["value"]) if entry else 0
-
-    return PlanCacheBenchResult(
-        far_clusters=far_clusters,
-        graph_nodes=base.graph.n_nodes,
-        requests=requests,
-        max_plans=max_plans,
-        indexed_rps=requests / indexed_s,
-        plan_cold_rps=requests / cold_s,
-        plan_warm_rps=requests / warm_s,
-        hits=_count("alloc.plan_cache.hits"),
-        misses=_count("alloc.plan_cache.misses"),
-        invalidations=_count("alloc.plan_cache.invalidations"),
-        plans_resident=len(cached.plan_cache) if cached.plan_cache else 0,
-        identical=identical,
-    )
-
-
 def profile_entries(fn, *, top_n: int = 15) -> List[Dict[str, object]]:
     """Run ``fn`` under :mod:`cProfile`; return the top-N cumulative entries.
 
@@ -675,15 +536,12 @@ def profile_resolve(
     datasets: int = 6,
     requests: int = 2000,
     seed: int = 7,
-    plan_cache: bool = False,
     top_n: int = 15,
 ) -> List[Dict[str, object]]:
     """Profile the resolve loop (deployment build excluded from the profile)."""
     server, segments, authors = build_resolve_deployment(
         far_clusters=far_clusters, datasets=datasets, seed=seed
     )
-    if plan_cache:
-        server.enable_plan_cache()
     workload = _request_workload(segments, authors, requests)
 
     def loop() -> None:
@@ -779,7 +637,6 @@ def bench_to_dict(
     campaign: Optional[CampaignBenchResult] = None,
     shards: Optional[List[ShardBenchResult]] = None,
     *,
-    plan_cache: Optional[PlanCacheBenchResult] = None,
     profile: Optional[Dict[str, List[Dict[str, object]]]] = None,
 ) -> Dict[str, object]:
     """JSON-ready dict combining the measurements (all but resolve optional)."""
@@ -826,22 +683,6 @@ def bench_to_dict(
             }
             for s in shards
         ]
-    if plan_cache is not None:
-        out["plan_cache"] = {
-            "far_clusters": plan_cache.far_clusters,
-            "graph_nodes": plan_cache.graph_nodes,
-            "requests": plan_cache.requests,
-            "max_plans": plan_cache.max_plans,
-            "indexed_rps": plan_cache.indexed_rps,
-            "plan_cold_rps": plan_cache.plan_cold_rps,
-            "plan_warm_rps": plan_cache.plan_warm_rps,
-            "speedup": plan_cache.speedup,
-            "hits": plan_cache.hits,
-            "misses": plan_cache.misses,
-            "invalidations": plan_cache.invalidations,
-            "plans_resident": plan_cache.plans_resident,
-            "identical": plan_cache.identical,
-        }
     if profile is not None:
         out["profile"] = profile
     return out

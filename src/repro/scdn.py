@@ -95,15 +95,6 @@ class SCDNConfig:
         Peer-tier knobs (lease TTL in engine time, per-node lease cap —
         zero admits nobody — and per-lease in-flight read cap); see
         :class:`~repro.cdn.peers.PeerRegistry`.
-    plan_cache:
-        Enable the allocation tier's resolve plan cache
-        (:mod:`repro.cdn.plancache`): structural rankings memoized per
-        ``(segment, requester)`` with epoch-based invalidation, only the
-        load tie-break applied per resolve. Byte-identical output, just
-        faster; off by default — and when off, every resolve runs the
-        exact uncached path (bit-identical to pre-plan-cache builds).
-    plan_cache_plans:
-        LRU capacity of the plan cache (resident plans), when enabled.
     """
 
     n_replicas: int = 3
@@ -116,8 +107,6 @@ class SCDNConfig:
     peer_lease_ttl_s: float = 600.0
     peer_cache_segments: int = 4
     peer_max_concurrent_serves: int = 4
-    plan_cache: bool = False
-    plan_cache_plans: int = 4096
 
     def __post_init__(self) -> None:
         if self.n_replicas < 1:
@@ -136,8 +125,6 @@ class SCDNConfig:
             raise ConfigurationError("peer_cache_segments must be >= 0")
         if self.peer_max_concurrent_serves < 1:
             raise ConfigurationError("peer_max_concurrent_serves must be >= 1")
-        if self.plan_cache_plans < 1:
-            raise ConfigurationError("plan_cache_plans must be >= 1")
 
 
 class SCDN:
@@ -197,12 +184,6 @@ class SCDN:
         # partition awareness: discovery filters candidates by requester
         # reachability whenever the network model reports a partition
         self.server.set_reachability_oracle(self.network)
-        if self.config.plan_cache:
-            # after the oracle install (an epoch source) so freshly built
-            # plans are never invalidated by our own wiring
-            self.server.enable_plan_cache(
-                max_plans=self.config.plan_cache_plans
-            )
         self.transfer = TransferClient(
             self.network,
             failure_prob=self.config.transfer_failure_prob,

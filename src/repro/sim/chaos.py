@@ -94,12 +94,6 @@ class ChaosConfig:
     peer_cache_segments: int = 4
     peer_max_concurrent_serves: int = 4
     peer_leave_rate_s: float = 0.0
-    # Resolve plan cache (off by default: resolves run the exact uncached
-    # path, no epoch is ever read, and no randomness is involved either
-    # way — cache-off configs reproduce pre-plan-cache campaigns bit for
-    # bit; cache-on changes only speed, never output).
-    plan_cache: bool = False
-    plan_cache_plans: int = 4096
 
     def __post_init__(self) -> None:
         if self.horizon_s <= 0:
@@ -155,8 +149,6 @@ class ChaosConfig:
             raise ConfigurationError("peer_max_concurrent_serves must be >= 1")
         if self.peer_leave_rate_s < 0:
             raise ConfigurationError("peer_leave_rate_s must be >= 0")
-        if self.plan_cache_plans < 1:
-            raise ConfigurationError("plan_cache_plans must be >= 1")
 
     @property
     def effective_request_interval_s(self) -> float:
@@ -361,11 +353,6 @@ def run_chaos_campaign(
             cache_segments=config.peer_cache_segments,
             max_concurrent_serves=config.peer_max_concurrent_serves,
         )
-    if config.plan_cache:
-        # byte-identical resolves, served from cached candidate plans;
-        # enabled after the peer tier so the registry install (an epoch
-        # source) never retires freshly built plans
-        net.server.enable_plan_cache(max_plans=config.plan_cache_plans)
 
     # --- membership and content ------------------------------------------
     authors = [AuthorId(a) for a in sorted(net.graph.nodes())[: config.members]]

@@ -151,16 +151,6 @@ class FailureInjector:
         for h in self._handlers:
             h(event)
 
-    def _bump_plan_epoch(self) -> None:
-        """Advance the attached server's fabric plan epoch (partition
-        start/heal changed which hosts discovery may hand out). Cached
-        resolve plans re-read reachability at every lookup, so this is
-        belt-and-braces hygiene rather than a correctness requirement —
-        and a no-op when no server is attached or no cache is enabled."""
-        fabric = getattr(self._server, "fabric", None)
-        if fabric is not None:
-            fabric.plan_epoch += 1
-
     # ------------------------------------------------------------------
     # liveness queries
     # ------------------------------------------------------------------
@@ -326,7 +316,6 @@ class FailureInjector:
             if self._partition_groups is not None or network.partitioned:
                 return  # overlapping episode: skip entirely
             network.partition(groups)
-            self._bump_plan_epoch()
             episode["started"] = True
             self._partition_groups = groups
             minority = min(range(len(groups)), key=lambda i: len(groups[i]))
@@ -350,7 +339,6 @@ class FailureInjector:
             if not episode["started"]:
                 return  # never began: nothing to heal, nothing to emit
             network.heal()
-            self._bump_plan_epoch()
             for group in groups:
                 for node in group:
                     # crash mid-episode removed the node from _partitioned:

@@ -6,8 +6,12 @@ import pytest
 
 from repro.errors import CatalogError
 from repro.ids import AuthorId, DatasetId, NodeId, SegmentId
+from repro.obs import Registry
 from repro.cdn.catalog import ReplicaCatalog
 from repro.cdn.content import ReplicaState, segment_dataset
+
+from ..conftest import pub
+from .test_allocation_bugfixes import graph_of, make_server
 
 
 @pytest.fixture
@@ -162,3 +166,74 @@ class TestUnregister:
             segment_dataset(DatasetId("d1"), AuthorId("o"), 50)
         )
         assert "d1" in catalog
+
+
+class TestServableCacheCounters:
+    """The memoized servable view counts its hits and misses, and every
+    catalog mutation site drops it (counted on invalidations)."""
+
+    def _deploy(self):
+        reg = Registry()
+        g = graph_of(
+            pub("p1", 2009, "a", "b"),
+            pub("p2", 2010, "b", "c"),
+            pub("p3", 2010, "c", "d"),
+        )
+        server = make_server(
+            g, ["a", "b", "c", "d"], capacity=100_000, registry=reg
+        )
+        ds = segment_dataset(DatasetId("d1"), AuthorId("a"), 100)
+        server.publish_dataset(ds, n_replicas=3)
+        return server, ds.segments[0].segment_id, reg
+
+    def _invalidations(self, reg):
+        return reg.counter("catalog.servable_cache.invalidations").value
+
+    def test_hits_and_misses_counted(self):
+        server, seg, reg = self._deploy()
+        server.catalog.replicas_of_segment(seg, servable_only=True)
+        misses = reg.counter("catalog.servable_cache.misses").value
+        assert misses >= 1
+        server.catalog.replicas_of_segment(seg, servable_only=True)
+        assert reg.counter("catalog.servable_cache.hits").value >= 1
+        assert reg.counter("catalog.servable_cache.misses").value == misses
+
+    def test_every_mutation_site_bumps_invalidations(self):
+        server, seg, reg = self._deploy()
+        cat = server.catalog
+        reps = iter(cat.replicas_of_segment(seg))
+        first = next(reps).replica_id
+        second = next(reps).replica_id
+
+        before = self._invalidations(reg)
+        cat.retire(first)
+        assert self._invalidations(reg) > before, "retire"
+
+        before = self._invalidations(reg)
+        cat.mark_stale(second)
+        assert self._invalidations(reg) > before, "mark_stale"
+
+        before = self._invalidations(reg)
+        cat.activate(second)
+        assert self._invalidations(reg) > before, "activate"
+
+        before = self._invalidations(reg)
+        cat.quarantine(second)
+        assert self._invalidations(reg) > before, "quarantine (corrupt path)"
+
+        before = self._invalidations(reg)
+        server.repair(at=1.0)  # re-creates the quarantined copy elsewhere
+        assert self._invalidations(reg) > before, "create_replica (add)"
+
+        host = next(iter(cat.replicas_of_segment(seg))).node_id
+        before = self._invalidations(reg)
+        server.migrate_node(host, at=2.0)
+        assert self._invalidations(reg) > before, "migrate"
+
+        ds2 = segment_dataset(DatasetId("d2"), AuthorId("b"), 100)
+        server.publish_dataset(ds2, n_replicas=2)
+        for rep in cat.replicas_of_dataset(DatasetId("d2")):
+            cat.retire(rep.replica_id)
+        before = self._invalidations(reg)
+        cat.unregister_dataset(DatasetId("d2"))
+        assert self._invalidations(reg) > before, "unregister (rollback path)"

@@ -6,7 +6,9 @@ The tentpole contract: swapping the per-call BFS for the CSR
 pre-index reference implementation
 (:func:`repro.cdn.allocation.resolve_candidates_reference`), and
 ``resolve_many`` is checked against sequential ``resolve`` calls on a twin
-deployment — same choices, same counters, same recorded demand.
+deployment — same choices, same counters, same recorded demand. Mutation
+sequences keep the ranking on the reference while catalog, membership,
+liveness and graph state change under it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.perf import _request_workload, build_resolve_deployment
 from repro.cdn.allocation import resolve_candidates_reference
 from repro.cdn.content import segment_dataset
 from repro.cdn.demand import DemandTracker
+from repro.cdn.storage import StorageRepository
 
 from .test_allocation_bugfixes import graph_of, make_server
 from ..conftest import pub
@@ -307,8 +310,8 @@ class TestEvictionAccounting:
 
 class TestHolderRowDifferential:
     """Holder-keyed rows under constant eviction rank exactly like a fresh
-    per-call BFS from the requester — on the uncached path, on plan
-    builds, and through the two-tier peer merge."""
+    per-call BFS from the requester, including through the two-tier peer
+    merge."""
 
     def _deployment(self):
         from repro.cdn.allocation import AllocationServer
@@ -381,15 +384,6 @@ class TestHolderRowDifferential:
         for seg in segments:
             for req in requesters:
                 assert got(seg, req) == self._reference(server, seg, req), (seg, req)
-        server.enable_plan_cache()
-        for _ in range(2):  # plan builds, then cached plans
-            for seg in segments:
-                for req in requesters:
-                    assert got(seg, req) == self._reference(server, seg, req), (
-                        seg,
-                        req,
-                    )
-        server.disable_plan_cache()
 
     def _holders(self, server, segment):
         return [
@@ -468,3 +462,106 @@ class TestHolderRowDifferential:
         for c in server.resolve_candidates(segments[1], authors[0]):
             if server.author_of(c.replica.node_id) == dropped:
                 assert c.social_hops is None
+
+
+class TestMutationSequences:
+    """Every event that can change a ranking reaches the next resolve:
+    after each step the ranking equals the fresh-BFS reference's."""
+
+    def _deploy(self):
+        g = graph_of(
+            pub("p1", 2009, "a", "b"),
+            pub("p2", 2010, "b", "c"),
+            pub("p3", 2010, "c", "d"),
+        )
+        server = make_server(g, ["a", "b", "c", "d"], capacity=100_000)
+        ds = segment_dataset(DatasetId("d1"), AuthorId("a"), 100)
+        server.publish_dataset(ds, n_replicas=3)
+        return server, ds.segments[0].segment_id
+
+    def _check(self, server, seg, requesters=("a", "b", "c", "d")):
+        for r in requesters:
+            assert ranking(server.resolve_candidates(seg, AuthorId(r))) == (
+                ranking(resolve_candidates_reference(server, seg, AuthorId(r)))
+            ), r
+
+    def test_retire_stale_activate(self):
+        server, seg = self._deploy()
+        self._check(server, seg)
+        reps = iter(server.catalog.replicas_of_segment(seg))
+        server.catalog.retire(next(reps).replica_id)
+        self._check(server, seg)
+        rid = next(reps).replica_id
+        server.catalog.mark_stale(rid)
+        self._check(server, seg)
+        server.catalog.activate(rid)
+        self._check(server, seg)
+
+    def test_quarantine(self):
+        server, seg = self._deploy()
+        self._check(server, seg)
+        rid = next(iter(server.catalog.replicas_of_segment(seg))).replica_id
+        server.catalog.quarantine(rid)
+        self._check(server, seg)
+
+    def test_node_offline_online(self):
+        server, seg = self._deploy()
+        self._check(server, seg)
+        host = next(iter(server.catalog.replicas_of_segment(seg))).node_id
+        server.node_offline(host, at=1.0)
+        self._check(server, seg)
+        server.node_online(host, at=2.0)
+        self._check(server, seg)
+
+    def test_repair_after_loss(self):
+        server, seg = self._deploy()
+        self._check(server, seg)
+        host = next(iter(server.catalog.replicas_of_segment(seg))).node_id
+        server.node_offline(host, at=1.0)
+        server.repair(at=2.0)
+        self._check(server, seg)
+
+    def test_graph_swap(self):
+        server, seg = self._deploy()
+        assert server.resolve_candidates(seg, AuthorId("zz"))[0].social_hops is None
+        server.graph = graph_of(
+            pub("p1", 2009, "a", "b"),
+            pub("p2", 2010, "b", "c"),
+            pub("p3", 2010, "c", "d"),
+            pub("p4", 2011, "d", "zz"),
+        )
+        # the requester was unreachable before the swap and is not after
+        assert server.resolve_candidates(seg, AuthorId("zz"))[0].social_hops is not None
+        self._check(server, seg, requesters=("a", "zz"))
+
+    def test_register_repository(self):
+        server, seg = self._deploy()
+        self._check(server, seg)
+        server.graph = graph_of(
+            pub("p1", 2009, "a", "b"),
+            pub("p2", 2010, "b", "c"),
+            pub("p3", 2010, "c", "d"),
+            pub("p4", 2011, "a", "e"),
+        )
+        server.register_repository(
+            AuthorId("e"), StorageRepository(NodeId("node-e"), 100_000)
+        )
+        self._check(server, seg, requesters=("a", "b", "e"))
+
+    def test_migrate_node(self):
+        server, seg = self._deploy()
+        self._check(server, seg)
+        host = next(iter(server.catalog.replicas_of_segment(seg))).node_id
+        server.migrate_node(host, at=1.0)
+        self._check(server, seg)
+
+    def test_liveness_oracle_flip(self):
+        server, seg = self._deploy()
+        self._check(server, seg)
+        dead = {next(iter(server.catalog.replicas_of_segment(seg))).node_id}
+        server.set_liveness_oracle(lambda node: node not in dead)
+        self._check(server, seg)
+        # the installed oracle changes its answer: liveness is read at
+        # every resolve, so the ranking follows at once
+        dead.add(sorted(server.catalog.nodes_hosting(seg), key=str)[-1])
+        self._check(server, seg)

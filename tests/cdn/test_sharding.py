@@ -34,7 +34,7 @@ from repro.cdn.sharding import ShardedAllocationRouter, _creation_key
 from repro.cdn.storage import StorageRepository
 
 from ..conftest import pub
-from .test_allocation_bugfixes import graph_of
+from .test_allocation_bugfixes import graph_of, make_server
 
 
 def ranking(candidates):
@@ -307,6 +307,37 @@ class TestFederatedCatalog:
             router.catalog.shard_of_replica("r-404040")
 
 
+class TestSiteMemo:
+    """The router memoizes each segment's owning site after its first
+    route and forgets it when the dataset is unregistered."""
+
+    def test_site_memo_hits_after_first_route(self):
+        router, segments, authors = build_sharded_deployment(
+            registry=Registry(), n_shards=2, far_clusters=4, spread_owners=True
+        )
+        first = router.resolve_candidates(segments[0], authors[0])
+        assert segments[0] in router._site_memo
+        # the memoized route still resolves identically
+        assert ranking(router.resolve_candidates(segments[0], authors[0])) == (
+            ranking(first)
+        )
+
+    def test_site_memo_forgotten_on_unregister(self):
+        router, segments, authors = build_sharded_deployment(
+            registry=Registry(), n_shards=2, far_clusters=4, spread_owners=True
+        )
+        router.resolve_candidates(segments[0], authors[0])
+        ds_id = next(
+            ds.dataset_id
+            for ds in router.catalog.datasets()
+            if any(s.segment_id == segments[0] for s in ds.segments)
+        )
+        for rep in router.catalog.replicas_of_dataset(ds_id):
+            router.catalog.retire(rep.replica_id)
+        router.catalog.unregister_dataset(ds_id)
+        assert segments[0] not in router._site_memo
+
+
 # ----------------------------------------------------------------------
 # partition tolerance: degraded resolve, hinted handoff, reconciliation
 # ----------------------------------------------------------------------
@@ -352,6 +383,23 @@ def partition_rig(*, handoff_limit=256, capacities=None):
         AuthorId("x")
     )
     return router, net
+
+
+class TestReachabilityOracle:
+    def test_oracle_without_partitioned_rejected(self):
+        """Discovery reads ``partitioned`` directly, so an oracle that
+        only answers ``reachable`` is refused at install time."""
+
+        class ReachableOnly:
+            def reachable(self, a, b):
+                return True
+
+        g = graph_of(pub("p", 2009, "a", "b"))
+        for tier in (make_server(g, ["a", "b"]), make_router(g, ["a", "b"])):
+            with pytest.raises(ConfigurationError, match="partitioned"):
+                tier.set_reachability_oracle(ReachableOnly())
+            assert tier.fabric.reachability is None
+            tier.set_reachability_oracle(NetworkModel())  # the real model passes
 
 
 def split_cliques(net):
