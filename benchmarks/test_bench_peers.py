@@ -10,11 +10,13 @@ peer tier buys when one dataset goes hot:
 * the client-side peer hit rate and the p50/p99 spike fetch times;
 * lease admission/expiry traffic and churn survival from the campaign.
 
-Gates (the issue's acceptance criteria): on the 10x spike the peer tier
-must improve p99 fetch time by >= 2x and offload >= 50% of repository
-reads, with full availability in both runs and bit-identical workloads
-(same remote-fetch count). The chaos campaign must keep serving through
-lease churn with zero integrity debt.
+Gates: the scenario pair must pass every peer-tier gate of
+:func:`repro.sim.scenarios.flash_crowd_gates`, the same gates ``repro
+flashcrowd`` enforces: on the 10x spike the tier improves p99 fetch time
+by at least ``MIN_P99_SPEEDUP`` and offloads at least ``MIN_PEER_OFFLOAD``
+of repository reads, with full availability in both runs, identical
+workloads (same remote-fetch count), and an inert peers-off run. The chaos
+campaign must keep serving through lease churn with zero integrity debt.
 """
 
 from __future__ import annotations
@@ -22,50 +24,31 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs import Registry
-from repro.scdn import SCDN, SCDNConfig
 from repro.sim.chaos import ChaosConfig, run_chaos_campaign
 from repro.sim.scenarios import (
-    _flash_network,
+    FLASH_CHAOS_OVERRIDES,
     compare_flash_crowd,
-    flash_crowd_graph,
+    flash_chaos_network,
+    flash_crowd_gates,
+    p99_speedup,
 )
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_peers.json"
 
 FLASH_SEED = 7
 CHAOS_SEED = 7
-MIN_P99_SPEEDUP = 2.0
-MIN_OFFLOAD = 0.5
 
 CHAOS = ChaosConfig(
     horizon_s=1800.0,
-    members=13,
-    datasets=2,
-    segments_per_dataset=2,
-    dataset_size_bytes=10_000_000,
-    n_replicas=3,
-    member_capacity_bytes=20_000_000,
-    publish_before_join=True,
     peer_tier=True,
     peer_leave_rate_s=0.002,
+    **FLASH_CHAOS_OVERRIDES,
 )
-
-
-def _chaos_net():
-    graph = flash_crowd_graph()
-    return SCDN(
-        graph,
-        config=SCDNConfig(proximity_hops=6),
-        seed=1,
-        registry=Registry(),
-        network=_flash_network(graph),
-    )
 
 
 def _run_all():
     off, on = compare_flash_crowd(seed=FLASH_SEED)
-    chaos = run_chaos_campaign(_chaos_net(), CHAOS, seed=CHAOS_SEED)
+    chaos = run_chaos_campaign(flash_chaos_network(), CHAOS, seed=CHAOS_SEED)
     return off, on, chaos
 
 
@@ -87,11 +70,7 @@ def _result(r):
 def test_peer_assisted_delivery(benchmark):
     off, on, chaos = benchmark.pedantic(_run_all, rounds=1, iterations=1)
 
-    speedup = (
-        off.spike_fetch_p99_s / on.spike_fetch_p99_s
-        if on.spike_fetch_p99_s > 0
-        else float("inf")
-    )
+    speedup = p99_speedup(off, on)
     payload = {
         "flash_crowd": {
             "seed": FLASH_SEED,
@@ -129,20 +108,7 @@ def test_peer_assisted_delivery(benchmark):
     )
     print(f"-> {OUT.name}")
 
-    # identical workloads: the peer tier changes who serves, not who asks
-    assert off.spike_remote_fetches == on.spike_remote_fetches
-    assert off.spike.availability == 1.0
-    assert on.spike.availability == 1.0
-    # the acceptance gates: >= 2x p99, >= 50% repository offload
-    assert speedup >= MIN_P99_SPEEDUP, (
-        f"p99 speedup regressed: {speedup:.2f}x < {MIN_P99_SPEEDUP}x"
-    )
-    assert on.offload_ratio >= MIN_OFFLOAD, (
-        f"offload regressed: {on.offload_ratio:.3f} < {MIN_OFFLOAD}"
-    )
-    assert on.peers_admitted > 0
-    # peers off => the tier must be inert
-    assert off.spike_peer_fetches == 0 and off.offload_ratio == 0.0
+    assert [g for g in flash_crowd_gates(off, on) if not g.passed] == []
     # churn campaign: leases rise and fall, integrity debt stays zero
     assert chaos.peers_admitted > 0
     assert chaos.peer_serves > 0

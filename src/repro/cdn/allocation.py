@@ -73,6 +73,20 @@ class ResolvedReplica:
     peer: bool = False
 
 
+@dataclass(frozen=True, slots=True)
+class ReconcileReport:
+    """Outcome of one post-heal anti-entropy sweep.
+
+    ``remaining`` counts hints still queued after the sweep (non-zero
+    only when the sweep ran while a partition was still active and some
+    destinations stayed unreachable)."""
+
+    replayed_publishes: int
+    replayed_repairs: int
+    repaired: int
+    remaining: int
+
+
 class AllocationFabric:
     """Shared membership/trust state for a federation of allocation servers.
 
@@ -1237,6 +1251,22 @@ class AllocationServer:
         """
         return sorted(
             n for a, n in self._node_of_author.items() if a not in self.fabric.graph
+        )
+
+    def pending_handoff(self) -> List[Tuple]:
+        """Queued hinted-handoff writes: always empty here.
+
+        One server has no remote coordinator to park a write for; the
+        sharded router (:mod:`repro.cdn.sharding`) keeps the real log.
+        """
+        return []
+
+    def reconcile_after_heal(self, *, at: float = 0.0) -> ReconcileReport:
+        """Post-heal anti-entropy sweep: a no-op on one server, which
+        parks no writes during a partition. Returns an all-zero
+        :class:`ReconcileReport`."""
+        return ReconcileReport(
+            replayed_publishes=0, replayed_repairs=0, repaired=0, remaining=0
         )
 
     def repair(self, *, at: float = 0.0) -> List[Replica]:

@@ -43,7 +43,6 @@ to the owning site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -52,7 +51,12 @@ from ..ids import AuthorId, DatasetId, NodeId, ReplicaId, SegmentId
 from ..obs import Registry
 from ..rng import SeedLike
 from ..social.graph import CoauthorshipGraph
-from .allocation import AllocationFabric, AllocationServer, ResolvedReplica
+from .allocation import (
+    AllocationFabric,
+    AllocationServer,
+    ReconcileReport,
+    ResolvedReplica,
+)
 from .catalog import ReplicaCatalog, ReplicaIdAllocator
 from .content import Dataset, DataSegment, Replica, ReplicaState
 from .demand import DemandTracker
@@ -291,20 +295,6 @@ class FederatedCatalog:
             out.extend(shard.under_replicated(min_replicas))
         out.sort(key=lambda t: (t[1], t[0]))
         return out
-
-
-@dataclass(frozen=True, slots=True)
-class ReconcileReport:
-    """Outcome of one post-heal anti-entropy sweep.
-
-    ``remaining`` counts hints still queued after the sweep (non-zero
-    only when the sweep ran while a partition was still active and some
-    destinations stayed unreachable)."""
-
-    replayed_publishes: int
-    replayed_repairs: int
-    repaired: int
-    remaining: int
 
 
 class ShardedAllocationRouter:

@@ -2,30 +2,42 @@
 
 Subcommands::
 
-    repro generate  --out corpus.json [--seed N]     synthesize a corpus
-    repro table1    [--corpus F] [--seed-author A]   Table I rows
-    repro fig2      [--corpus F]                     topology summaries
-    repro fig3      [--corpus F] [--runs N]          hit-rate curves
-    repro simulate  [--members N] [--days D]         live S-CDN metrics
-    repro obs       [--members N] [--days D] [--json F]  observability report
-    repro chaos     [--horizon S] [--seed N]         chaos campaign + report
-    repro scrub     [--corrupt K] [--seed N]         bit-rot + scrubber check
-    repro migrate   [--migrate-seed N]               demand-shift migration check
-    repro partition [--partition-seed N]             community-split partition check
+    repro generate   --out corpus.json [--seed N]    synthesize a corpus
+    repro table1     [--corpus F] [--hops H]         Table I rows
+    repro fig2       [--corpus F] [--hops H]         topology summaries
+    repro fig3       [--corpus F] [--runs N]         hit-rate curves
+    repro simulate   [--members N] [--days D]        live S-CDN metrics
+    repro obs        [--members N] [--days D] [--json F]  observability report
+    repro chaos      [--horizon S] [--seed N]        chaos campaign + report
+    repro perf       [--quick] [--shards N ...]      resolve/campaign throughput
+    repro scrub      [--corrupt K] [--seed N]        bit-rot + scrubber check
+    repro migrate    [--migrate-seed N]              demand-shift migration check
+    repro partition  [--partition-seed N]            community-split partition check
     repro flashcrowd [--flash-seed N] [--quick]      flash-crowd peer-tier check
 
-All subcommands accept ``--corpus`` (a JSON file from ``repro generate``
-or :func:`repro.social.io.save_corpus`); without it a synthetic corpus is
-generated on the fly (``--seed`` controls it).
+The last four are the rows of one scenario table
+(:data:`SCENARIO_COMMANDS`): each runs a scenario of
+:mod:`repro.sim.scenarios`, prints its report, and exits 0 only when
+every gate that scenario defines passes.
+
+The commands that build a deployment from a corpus (``table1`` through
+``chaos``, and ``scrub``) accept ``--corpus`` (a JSON file from ``repro
+generate`` or :func:`repro.social.io.save_corpus`); without it a
+synthetic corpus is generated on the fly (``--seed`` controls it).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .ids import AuthorId
+from .sim import scenarios
+from .sim.scenarios import Gate
 from .social import generate_corpus
 from .social.io import load_corpus, save_corpus
 from .social.metrics import graph_summary
@@ -33,6 +45,28 @@ from .social.records import Corpus
 from .social.trust import paper_trust_heuristics
 from .social.ego import ego_corpus
 from .casestudy import CaseStudyConfig, run_case_study
+
+
+#: One ``add_argument`` call kept as data: ``(flag, keyword arguments)``.
+Flag = Tuple[str, Dict[str, Any]]
+
+
+def _flag(name: str, **kwargs: Any) -> Flag:
+    return name, kwargs
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: Tuple[Flag, ...]) -> None:
+    for name, kwargs in flags:
+        p.add_argument(name, **kwargs)
+
+
+#: corpus selection of every command that builds a deployment from one
+_CORPUS_FLAGS: Tuple[Flag, ...] = (
+    _flag("--corpus", help="corpus JSON file (default: synthesize)"),
+    _flag("--seed", type=int, default=42, help="corpus seed"),
+    _flag("--seed-author", help="ego seed author id"),
+)
+_MEMBERS_FLAG = _flag("--members", type=int, default=20)
 
 
 def _get_corpus(args) -> Tuple[Corpus, AuthorId]:
@@ -106,24 +140,39 @@ def cmd_fig3(args) -> int:
     return 0
 
 
-def _run_live_scdn(args, registry=None):
-    """Build and run the small live S-CDN shared by ``simulate`` and ``obs``.
-
-    Returns ``(net, horizon_s)`` with the simulation already run and usage
-    synced into the collector.
-    """
+def _trusted_net(args, registry=None):
+    """An empty S-CDN over the corpus's 2-hop ego network, pruned to
+    coauthors with at least two shared papers (the quickstart
+    deployment of ``simulate``, ``obs``, ``chaos`` and ``scrub``)."""
     from .scdn import SCDN, SCDNConfig
     from .social.trust import MinCoauthorshipTrust
 
     corpus, seed_author = _get_corpus(args)
     ego = ego_corpus(corpus, seed_author, hops=2)
     trusted = MinCoauthorshipTrust(2).prune(ego, seed=seed_author)
-    net = SCDN(trusted.graph, config=SCDNConfig(), seed=args.seed, registry=registry)
-    members = [AuthorId(a) for a in sorted(trusted.graph.nodes())[: args.members]]
+    return SCDN(trusted.graph, config=SCDNConfig(), seed=args.seed, registry=registry)
+
+
+def _populate(net, n_members: int) -> List[AuthorId]:
+    """Join the first ``n_members`` authors (sorted) and have the first
+    fifth of them publish a two-segment dataset each; returns the
+    members."""
+    members = [AuthorId(a) for a in sorted(net.graph.nodes())[:n_members]]
     for m in members:
         net.join(m)
-    for i, owner in enumerate(members[: max(1, args.members // 5)]):
+    for i, owner in enumerate(members[: max(1, n_members // 5)]):
         net.publish(owner, f"data-{i}", 10_000_000, n_segments=2)
+    return members
+
+
+def _run_live_scdn(args, registry=None):
+    """Build and run the small live S-CDN shared by ``simulate`` and ``obs``.
+
+    Returns ``(net, horizon_s)`` with the simulation already run and usage
+    synced into the collector.
+    """
+    net = _trusted_net(args, registry)
+    members = _populate(net, args.members)
     horizon = args.days * 86_400.0
     # simple periodic traffic
     import itertools
@@ -193,6 +242,39 @@ def cmd_obs(args) -> int:
     return 0
 
 
+def _write_json(path: str, payload: object, label: str) -> bool:
+    """Write ``payload`` to ``path`` as indented JSON and print ``wrote
+    <label> to <path>``. On an unwritable path, print the error and
+    return False (the caller exits 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, default=str)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {label} to {path}")
+    return True
+
+
+def _gate_status(gates: List[Gate]) -> int:
+    """Exit status of a gated command: 0 when every gate passed, else 1
+    after one ``FAIL:`` line on stderr naming each failed gate and the
+    value it observed."""
+    failed = "; ".join(f"{g.name} ({g.observed})" for g in gates if not g.passed)
+    if failed:
+        print(f"FAIL: {failed}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _chaos_gates(args, unhandled: int, redundancy: float) -> List[Gate]:
+    """The exit gates a single campaign and a grid aggregate share."""
+    return [
+        Gate("no_unhandled_exceptions", unhandled == 0, unhandled),
+        Gate("post_repair_redundancy", redundancy >= args.min_redundancy,
+             f"{redundancy:.4f}, need >= {args.min_redundancy}"),
+    ]
+
+
 def cmd_chaos(args) -> int:
     """`repro chaos`: run a fault-injection campaign and print the
     degradation report.
@@ -201,8 +283,10 @@ def cmd_chaos(args) -> int:
     (fresh registry), injects Poisson-scheduled crashes, outages, and
     slow links alongside a read workload, and prints availability,
     failover counts, repair latency, and post-repair redundancy. Exit
-    status is 0 only if the campaign ran without unhandled exceptions
-    AND post-repair redundancy reached ``--min-redundancy`` — so the
+    status is 0 only if the campaign ran without unhandled exceptions,
+    post-repair redundancy reached ``--min-redundancy``, no corrupt
+    replica stayed servable, nothing diverged after a heal, and (with
+    ``--min-offload``) the peer tier offloaded more than that — so the
     command doubles as a CI smoke test for the fault-tolerance path.
 
     With ``--grid N`` the single campaign becomes an N-seed grid
@@ -211,12 +295,11 @@ def cmd_chaos(args) -> int:
     CampaignExecutor`; the pooled aggregate is printed and gated
     instead.
     """
-    import json as _json
+    from dataclasses import asdict, replace
 
+    from .errors import ConfigurationError
     from .obs import Registry
-    from .scdn import SCDN, SCDNConfig
     from .sim.chaos import ChaosConfig, run_chaos_campaign
-    from .social.trust import MinCoauthorshipTrust
 
     config = ChaosConfig(
         horizon_s=args.horizon,
@@ -235,32 +318,14 @@ def cmd_chaos(args) -> int:
         peer_leave_rate_s=args.peer_leave_rate,
     )
     if args.flash_graph:
-        # The flash-crowd topology (far origin clique bridged to a dense
-        # crowd clique) with replicas pinned on the owners is the
-        # deployment where the peer tier has social room to serve: late
-        # joiners are strictly closer to each other than to any replica.
-        from dataclasses import replace as _replace
-
         if args.grid:
-            print(
-                "error: --flash-graph runs a single fixed deployment; "
-                "--grid is not supported",
-                file=sys.stderr,
+            raise ConfigurationError(
+                "--flash-graph runs a single fixed deployment; "
+                "--grid is not supported"
             )
-            return 2
-        config = _replace(
-            config,
-            members=13,
-            datasets=2,
-            segments_per_dataset=2,
-            n_replicas=3,
-            member_capacity_bytes=20_000_000,
-            publish_before_join=True,
-        )
+        config = replace(config, **scenarios.FLASH_CHAOS_OVERRIDES)
 
     if args.grid:
-        from dataclasses import asdict
-
         from .sim.campaign import (
             CampaignConfig,
             run_campaign_parallel,
@@ -268,12 +333,10 @@ def cmd_chaos(args) -> int:
         )
 
         if args.corpus:
-            print(
-                "error: --grid builds its deployment from --seed "
-                "(generated corpus); --corpus is not supported",
-                file=sys.stderr,
+            raise ConfigurationError(
+                "--grid builds its deployment from --seed "
+                "(generated corpus); --corpus is not supported"
             )
-            return 2
         cfg = CampaignConfig(
             chaos=config,
             corpus_seed=args.seed,
@@ -289,290 +352,174 @@ def cmd_chaos(args) -> int:
         for line in result.lines():
             print(line)
         agg = result.aggregate
-        if args.json:
-            try:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    _json.dump(
-                        {
-                            "seeds": list(result.seeds),
-                            "workers": result.workers,
-                            "wall_clock_s": result.wall_clock_s,
-                            "aggregate": asdict(agg),
-                        },
-                        fh,
-                        indent=2,
-                        default=str,
-                    )
-            except OSError as exc:
-                print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-                return 2
-            print(f"wrote campaign aggregate to {args.json}")
-        ok = (
-            agg.unhandled_exceptions == 0
-            and agg.mean_post_repair_redundancy >= args.min_redundancy
-        )
-        if not ok:
-            print(
-                f"FAIL: unhandled={agg.unhandled_exceptions} "
-                f"mean_redundancy={agg.mean_post_repair_redundancy:.4f} "
-                f"(need 0 and >= {args.min_redundancy})",
-                file=sys.stderr,
+        if args.json and not _write_json(
+            args.json,
+            {
+                "seeds": list(result.seeds),
+                "workers": result.workers,
+                "wall_clock_s": result.wall_clock_s,
+                "aggregate": asdict(agg),
+            },
+            "campaign aggregate",
+        ):
+            return 2
+        return _gate_status(
+            _chaos_gates(
+                args, agg.unhandled_exceptions, agg.mean_post_repair_redundancy
             )
-        return 0 if ok else 1
+        )
 
-    registry = Registry()
     if args.flash_graph:
-        from .sim.scenarios import _flash_network, flash_crowd_graph
-
-        graph = flash_crowd_graph()
-        net = SCDN(
-            graph,
-            config=SCDNConfig(proximity_hops=6),
-            seed=args.seed,
-            registry=registry,
-            network=_flash_network(graph),
-        )
+        net = scenarios.flash_chaos_network(seed=args.seed)
     else:
-        corpus, seed_author = _get_corpus(args)
-        ego = ego_corpus(corpus, seed_author, hops=2)
-        trusted = MinCoauthorshipTrust(2).prune(ego, seed=seed_author)
-        net = SCDN(
-            trusted.graph, config=SCDNConfig(), seed=args.seed, registry=registry
-        )
+        net = _trusted_net(args, Registry())
     report = run_chaos_campaign(net, config, seed=args.chaos_seed)
     for line in report.lines():
         print(line)
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(
-                    {"report": report.to_dict(), "obs": net.obs_snapshot()},
-                    fh,
-                    indent=2,
-                    default=str,
-                )
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote chaos report to {args.json}")
-    ok = (
-        report.unhandled_exceptions == 0
-        and report.post_repair_redundancy >= args.min_redundancy
-        and report.corrupt_servable_after_repair == 0
-        and report.divergence_after_heal == 0
-        and (
-            args.min_offload is None
-            or report.peer_offload_ratio > args.min_offload
+    if args.json and not _write_json(
+        args.json,
+        {"report": report.to_dict(), "obs": net.obs_snapshot()},
+        "chaos report",
+    ):
+        return 2
+    gates = _chaos_gates(
+        args, report.unhandled_exceptions, report.post_repair_redundancy
+    ) + [
+        Gate("no_corrupt_servable", report.corrupt_servable_after_repair == 0,
+             report.corrupt_servable_after_repair),
+        Gate("zero_divergence", report.divergence_after_heal == 0,
+             report.divergence_after_heal),
+    ]
+    if args.min_offload is not None:
+        gates.append(
+            Gate("peer_offload", report.peer_offload_ratio > args.min_offload,
+                 f"{report.peer_offload_ratio:.4f}, need > {args.min_offload}")
         )
-    )
-    if not ok:
-        print(
-            f"FAIL: unhandled={report.unhandled_exceptions} "
-            f"redundancy={report.post_repair_redundancy:.4f} "
-            f"corrupt_servable={report.corrupt_servable_after_repair} "
-            f"divergence_after_heal={report.divergence_after_heal} "
-            f"peer_offload={report.peer_offload_ratio:.4f} "
-            f"(need 0, >= {args.min_redundancy}, 0, 0"
-            + (
-                f", and > {args.min_offload})"
-                if args.min_offload is not None
-                else ")"
-            ),
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+    return _gate_status(gates)
 
 
-def cmd_scrub(args) -> int:
-    """`repro scrub`: rot a few replicas, run the integrity scrubber, and
-    verify detection + repair.
+# ----------------------------------------------------------------------
+# the scenario table: repro scrub | migrate | partition | flashcrowd
+# ----------------------------------------------------------------------
 
-    Builds the quickstart deployment, publishes datasets, deterministically
-    corrupts ``--corrupt`` on-disk copies (seeded pick over the sorted copy
-    list), runs one scrub pass (which quarantines the rot and triggers a
-    repair audit), and reports. Exit status is 0 only if every injected
-    corruption was quarantined, redundancy is fully restored, and no
-    servable replica fails verification — a CI smoke test for the
-    end-to-end integrity path.
+_PAIR_SEED_HELP = "seed of the scenario deployment pair"
+
+
+class ScenarioRun(NamedTuple):
+    """What a scenario row's ``run`` returns."""
+
+    #: positional arguments of the row's gate function
+    results: Tuple[Any, ...]
+    #: the report, printed line by line
+    lines: List[str]
+    #: the ``--json`` payload of rows that take ``--json``
+    payload: Optional[Dict[str, Any]] = None
+
+
+@dataclass(frozen=True)
+class ScenarioCommand:
+    """One row of the scenario table: the ``repro <name>`` subcommand.
+
+    ``run`` runs the scenario from the parsed ``flags``; ``gates`` is the
+    scenario's gate function in :mod:`repro.sim.scenarios`, applied to
+    the run's results. A row with a ``json_label`` also takes ``--json``
+    and announces the file as ``wrote <json_label> to <path>``.
     """
+
+    name: str
+    help: str
+    flags: Tuple[Flag, ...]
+    run: Callable[[argparse.Namespace], ScenarioRun]
+    gates: Callable[..., List[Gate]]
+    json_label: Optional[str] = None
+
+
+def _run_scenario(command: ScenarioCommand, args) -> int:
+    """Run one scenario row: print its report, write ``--json``, and exit
+    0 only when every gate passes."""
+    run = command.run(args)
+    for line in run.lines:
+        print(line)
+    if command.json_label and args.json:
+        if not _write_json(args.json, run.payload, command.json_label):
+            return 2
+    return _gate_status(command.gates(*run.results))
+
+
+def _scrub(args) -> ScenarioRun:
+    """Rot ``--corrupt`` copies of the quickstart deployment, scrub once."""
     from .errors import ConfigurationError
     from .obs import Registry
-    from .rng import make_rng
-    from .scdn import SCDN, SCDNConfig
-    from .social.trust import MinCoauthorshipTrust
 
     if args.corrupt < 0:
         raise ConfigurationError("--corrupt must be >= 0")
-    registry = Registry()
-    corpus, seed_author = _get_corpus(args)
-    ego = ego_corpus(corpus, seed_author, hops=2)
-    trusted = MinCoauthorshipTrust(2).prune(ego, seed=seed_author)
-    net = SCDN(trusted.graph, config=SCDNConfig(), seed=args.seed, registry=registry)
-    members = [AuthorId(a) for a in sorted(trusted.graph.nodes())[: args.members]]
-    for m in members:
-        net.join(m)
-    for i, owner in enumerate(members[: max(1, args.members // 5)]):
-        net.publish(owner, f"data-{i}", 10_000_000, n_segments=2)
-
-    copies = []
-    for author in sorted(net.clients):
-        repo = net.clients[author].repository
-        for seg in sorted(repo.hosted_segments()):
-            copies.append((repo, seg))
-    if not copies:
-        print("error: no replicas on disk, nothing to scrub", file=sys.stderr)
-        return 2
-    rng = make_rng(args.scrub_seed)
-    k = min(args.corrupt, len(copies))
-    picks = sorted(int(i) for i in rng.choice(len(copies), size=k, replace=False))
-    for i in picks:
-        repo, seg = copies[i]
-        repo.corrupt_replica(seg, at=0.0)
-        print(f"corrupted {seg} on {repo.node_id}")
-
-    scrubber = net.integrity_scrubber()
-    pass_report = scrubber.scrub(at=0.0)  # quarantines + triggers repair audit
-    audit = net.replication.reports[-1] if net.replication.reports else None
-    leftover = scrubber.corrupt_servable()
-    print(
-        f"scrub: checked {pass_report.replicas_checked} replicas on "
-        f"{pass_report.nodes_scanned} nodes, found {pass_report.corrupt_found}, "
-        f"quarantined {pass_report.quarantined}"
+    net = _trusted_net(args, Registry())
+    _populate(net, args.members)
+    result = scenarios.run_bit_rot(net, corrupt=args.corrupt, seed=args.scrub_seed)
+    lines = [f"corrupted {seg} on {node}" for seg, node in result.rotted]
+    scrub = result.scrub
+    lines.append(
+        f"scrub: checked {scrub.replicas_checked} replicas on "
+        f"{scrub.nodes_scanned} nodes, found {scrub.corrupt_found}, "
+        f"quarantined {scrub.quarantined}"
     )
-    if audit is not None:
-        print(
-            f"repair audit: {audit.repaired} replicas re-created, "
-            f"{audit.under_replicated} segments still under budget"
+    if result.audit is not None:
+        lines.append(
+            f"repair audit: {result.audit.repaired} replicas re-created, "
+            f"{result.audit.under_replicated} segments still under budget"
         )
-    print(f"corrupt servable after repair: {len(leftover)}")
-    # with nothing injected, a clean pass (no quarantines, no rot, no
-    # repair audit) is success, not a missing-audit failure
-    ok = (
-        pass_report.quarantined == k
-        and (audit is not None or k == 0)
-        and (audit is None or audit.under_replicated == 0)
-        and not leftover
-    )
-    if not ok:
-        print(
-            f"FAIL: injected={k} quarantined={pass_report.quarantined} "
-            f"under_replicated={audit.under_replicated if audit else 'n/a'} "
-            f"corrupt_servable={len(leftover)}",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+    lines.append(f"corrupt servable after repair: {result.corrupt_servable}")
+    return ScenarioRun((result,), lines)
 
 
-def cmd_migrate(args) -> int:
-    """`repro migrate`: run the demand-shift scenario with migration off
-    and on, print the comparison, and verify the migration acceptance
-    criteria.
-
-    The scenario (:mod:`repro.sim.scenarios`) publishes datasets near
-    their owner, shifts read demand to a far cluster, and swaps in a
-    trust graph that drops one replica-holding host. Exit status is 0
-    only if migration-on strictly reduces the post-shift mean access
-    time, redundancy never dipped below budget mid-move, no move failed,
-    and zero replicas remain on no-longer-trusted nodes — so the command
-    doubles as a CI smoke test for the migration subsystem.
-    """
-    import json as _json
-
-    from .sim.scenarios import compare_demand_shift
-
-    off, on = compare_demand_shift(seed=args.migrate_seed)
-    print(
+def _migrate(args) -> ScenarioRun:
+    """The demand-shift pair, migration off then on."""
+    off, on = scenarios.compare_demand_shift(seed=args.migrate_seed)
+    lines = [
         f"demand shift: {off.post_shift.accesses} post-shift accesses, "
         f"trust swap evicts {off.evicted_author}"
-    )
+    ]
     for r in (off, on):
         label = "migration on " if r.migration_enabled else "migration off"
-        print(
+        lines.append(
             f"{label}: post-shift mean={r.post_shift.mean_duration_s * 1e3:.1f}ms "
             f"local={r.post_shift.local_hits}/{r.post_shift.accesses} "
             f"availability={r.post_shift.availability:.4f} "
             f"moves={r.moves_completed} failed={r.moves_failed} "
             f"untrusted_leftover={r.untrusted_leftover}"
         )
+    off_mean, on_mean = off.post_shift.mean_duration_s, on.post_shift.mean_duration_s
     if on.post_shift.accesses:
-        delta = 1.0 - (
-            on.post_shift.mean_duration_s / off.post_shift.mean_duration_s
-            if off.post_shift.mean_duration_s
-            else 1.0
-        )
-        print(f"post-shift mean access time reduced by {100.0 * delta:.1f}%")
-    if args.json:
-        payload = {
-            "off": {
-                "post_shift_mean_s": off.post_shift.mean_duration_s,
-                "availability": off.post_shift.availability,
-                "untrusted_leftover": off.untrusted_leftover,
-            },
-            "on": {
-                "post_shift_mean_s": on.post_shift.mean_duration_s,
-                "availability": on.post_shift.availability,
-                "moves": on.moves_completed,
-                "failed_moves": on.moves_failed,
-                "min_mid_move_redundancy": on.min_mid_move_redundancy,
-                "untrusted_leftover": on.untrusted_leftover,
-            },
-        }
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote migration comparison to {args.json}")
-    ok = (
-        on.post_shift.mean_duration_s < off.post_shift.mean_duration_s
-        and on.moves_completed > 0
-        and on.moves_failed == 0
-        and on.min_mid_move_redundancy is not None
-        and on.min_mid_move_redundancy >= 1.0
-        and on.untrusted_leftover == 0
-        and off.untrusted_leftover > 0
-    )
-    if not ok:
-        print(
-            f"FAIL: on_mean={on.post_shift.mean_duration_s:.6f} "
-            f"off_mean={off.post_shift.mean_duration_s:.6f} "
-            f"moves={on.moves_completed} failed={on.moves_failed} "
-            f"min_redundancy={on.min_mid_move_redundancy} "
-            f"leftover on={on.untrusted_leftover} off={off.untrusted_leftover}",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+        delta = 1.0 - (on_mean / off_mean if off_mean else 1.0)
+        lines.append(f"post-shift mean access time reduced by {100.0 * delta:.1f}%")
+    payload = {
+        "off": {
+            "post_shift_mean_s": off_mean,
+            "availability": off.post_shift.availability,
+            "untrusted_leftover": off.untrusted_leftover,
+        },
+        "on": {
+            "post_shift_mean_s": on_mean,
+            "availability": on.post_shift.availability,
+            "moves": on.moves_completed,
+            "failed_moves": on.moves_failed,
+            "min_mid_move_redundancy": on.min_mid_move_redundancy,
+            "untrusted_leftover": on.untrusted_leftover,
+        },
+    }
+    return ScenarioRun((off, on), lines, payload)
 
 
-def cmd_partition(args) -> int:
-    """`repro partition`: run the community-split scenario with the split
-    off and on, print the comparison, and verify the partition-tolerance
-    acceptance criteria.
-
-    The scenario (:mod:`repro.sim.scenarios`) publishes a dataset whose
-    replicas spill from community B into community A, cuts B's core away
-    from everyone else, keeps the majority reading through degraded
-    resolves, parks a mid-partition publish in the handoff log, and
-    reconciles at the heal. Exit status is 0 only if the majority side's
-    acceptance stayed at or above ``--min-acceptance``, degraded serves
-    actually happened, the parked publish replayed and resolved, and the
-    healed run converged with zero divergence against the
-    never-partitioned oracle — so the command doubles as a CI smoke test
-    for the partition-tolerance path.
-    """
-    import json as _json
-
-    from .sim.scenarios import compare_community_split
-
-    off, on = compare_community_split(seed=args.partition_seed)
-    print(
+def _partition(args) -> ScenarioRun:
+    """The community-split pair, split off (the oracle) then on."""
+    off, on = scenarios.compare_community_split(seed=args.partition_seed)
+    lines = [
         f"community split: {on.minority.accesses} minority / "
         f"{on.majority.accesses} majority accesses while partitioned"
-    )
+    ]
     for r in (off, on):
         label = "split on " if r.partitions_enabled else "split off"
-        print(
+        lines.append(
             f"{label}: minority_acceptance={r.minority.availability:.4f} "
             f"majority_acceptance={r.majority.availability:.4f} "
             f"degraded={r.degraded_serves} "
@@ -580,93 +527,46 @@ def cmd_partition(args) -> int:
             f"divergence={r.divergence_after_heal} "
             f"late_served={r.late_dataset_served} lost={r.final_lost}"
         )
-    if args.json:
-        payload = {
-            "off": {
-                "divergence_after_heal": off.divergence_after_heal,
-                "datasets_converged": off.datasets_converged,
-                "final_lost": off.final_lost,
-            },
-            "on": {
-                "minority_acceptance": on.minority.availability,
-                "majority_acceptance": on.majority.availability,
-                "degraded_serves": on.degraded_serves,
-                "handoff_queued": on.handoff_queued,
-                "handoff_replayed": on.handoff_replayed,
-                "divergence_after_heal": on.divergence_after_heal,
-                "late_dataset_served": on.late_dataset_served,
-                "datasets_converged": on.datasets_converged,
-                "final_lost": on.final_lost,
-            },
-        }
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote partition comparison to {args.json}")
-    ok = (
-        on.majority.availability >= args.min_acceptance
-        and on.degraded_serves > 0
-        and on.handoff_queued > 0
-        and on.handoff_replayed == on.handoff_queued
-        and on.divergence_after_heal == 0
-        and on.late_dataset_served
-        and on.final_lost == 0
-        and on.datasets_converged == off.datasets_converged
-        and off.divergence_after_heal == 0
-    )
-    if not ok:
-        print(
-            f"FAIL: majority_acceptance={on.majority.availability:.4f} "
-            f"(need >= {args.min_acceptance}) degraded={on.degraded_serves} "
-            f"queued={on.handoff_queued} replayed={on.handoff_replayed} "
-            f"divergence={on.divergence_after_heal} "
-            f"late_served={on.late_dataset_served} lost={on.final_lost}",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+    payload = {
+        "off": {
+            "divergence_after_heal": off.divergence_after_heal,
+            "datasets_converged": off.datasets_converged,
+            "final_lost": off.final_lost,
+        },
+        "on": {
+            "minority_acceptance": on.minority.availability,
+            "majority_acceptance": on.majority.availability,
+            "degraded_serves": on.degraded_serves,
+            "handoff_queued": on.handoff_queued,
+            "handoff_replayed": on.handoff_replayed,
+            "divergence_after_heal": on.divergence_after_heal,
+            "late_dataset_served": on.late_dataset_served,
+            "datasets_converged": on.datasets_converged,
+            "final_lost": on.final_lost,
+        },
+    }
+    return ScenarioRun((off, on), lines, payload)
 
 
-def cmd_flashcrowd(args) -> int:
-    """`repro flashcrowd`: run the flash-crowd scenario with the peer
-    tier off and on, print the comparison, and verify the peer-tier
-    acceptance criteria.
-
-    The scenario (:mod:`repro.sim.scenarios`) spikes the request rate on
-    one dataset by spike_factor x crowd (90x at the defaults) while every
-    repository replica sits in a far, thin-linked origin clique. Exit
-    status is 0 only if the peer tier offloaded at least
-    ``--min-offload`` of the spike's serves from the origin, improved
-    the spike p99 fetch time by at least ``--min-p99-speedup``, minted
-    peers, and kept availability at 1.0 in both runs — so the command
-    doubles as a CI smoke test for the peer-assisted delivery path.
-    """
-    import json as _json
-
-    from .sim.scenarios import FlashCrowdConfig, compare_flash_crowd
-
-    config = None
+def _flashcrowd(args) -> ScenarioRun:
+    """The flash-crowd pair, peer tier off then on."""
     if args.quick:
         # shorter phases, same shape: ~60 spike ticks instead of ~100
-        config = FlashCrowdConfig(
-            baseline_tick_interval_s=30.0,
-            spike_at_s=300.0,
-            horizon_s=480.0,
-            spike_factor=args.spike_factor,
+        config = scenarios.FlashCrowdConfig(
+            baseline_tick_interval_s=30.0, spike_at_s=300.0, horizon_s=480.0
         )
-    elif args.spike_factor != 10:
-        config = FlashCrowdConfig(spike_factor=args.spike_factor)
-    off, on = compare_flash_crowd(seed=args.flash_seed, config=config)
-    print(
+    else:
+        config = scenarios.FlashCrowdConfig()
+    off, on = scenarios.compare_flash_crowd(seed=args.flash_seed, config=config)
+    speedup = scenarios.p99_speedup(off, on)
+    lines = [
         f"flash crowd: {on.spike.accesses} spike accesses, "
         f"{on.spike_remote_fetches} remote fetches "
-        f"(spike_factor={args.spike_factor})"
-    )
+        f"(spike_factor={config.spike_factor})"
+    ]
     for r in (off, on):
         label = "peers on " if r.peer_tier_enabled else "peers off"
-        print(
+        lines.append(
             f"{label}: spike p50={r.spike_fetch_p50_s * 1e3:.1f}ms "
             f"p99={r.spike_fetch_p99_s * 1e3:.1f}ms "
             f"offload={r.offload_ratio:.4f} "
@@ -674,58 +574,73 @@ def cmd_flashcrowd(args) -> int:
             f"admitted={r.peers_admitted} expired={r.peer_leases_expired} "
             f"availability={r.spike.availability:.4f}"
         )
-    speedup = (
-        off.spike_fetch_p99_s / on.spike_fetch_p99_s
-        if on.spike_fetch_p99_s
-        else float("inf")
-    )
-    print(f"spike p99 fetch time improved {speedup:.1f}x with the peer tier")
-    if args.json:
-        payload = {
-            "off": {
-                "spike_fetch_p99_s": off.spike_fetch_p99_s,
-                "spike_remote_fetches": off.spike_remote_fetches,
-                "availability": off.spike.availability,
-            },
-            "on": {
-                "spike_fetch_p99_s": on.spike_fetch_p99_s,
-                "spike_remote_fetches": on.spike_remote_fetches,
-                "offload_ratio": on.offload_ratio,
-                "peer_hit_rate": on.peer_hit_rate,
-                "peers_admitted": on.peers_admitted,
-                "peer_leases_expired": on.peer_leases_expired,
-                "availability": on.spike.availability,
-            },
-            "p99_speedup": speedup,
-        }
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote flash-crowd comparison to {args.json}")
-    ok = (
-        on.offload_ratio >= args.min_offload
-        and speedup >= args.min_p99_speedup
-        and on.peers_admitted > 0
-        and off.spike.availability == 1.0
-        and on.spike.availability == 1.0
-        and off.spike_remote_fetches == on.spike_remote_fetches
-    )
-    if not ok:
-        print(
-            f"FAIL: offload={on.offload_ratio:.4f} "
-            f"(need >= {args.min_offload}) speedup={speedup:.2f}x "
-            f"(need >= {args.min_p99_speedup}) "
-            f"admitted={on.peers_admitted} "
-            f"avail off={off.spike.availability:.4f} "
-            f"on={on.spike.availability:.4f} "
-            f"fetches off={off.spike_remote_fetches} "
-            f"on={on.spike_remote_fetches}",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+    lines.append(f"spike p99 fetch time improved {speedup:.1f}x with the peer tier")
+    payload = {
+        "off": {
+            "spike_fetch_p99_s": off.spike_fetch_p99_s,
+            "spike_remote_fetches": off.spike_remote_fetches,
+            "availability": off.spike.availability,
+        },
+        "on": {
+            "spike_fetch_p99_s": on.spike_fetch_p99_s,
+            "spike_remote_fetches": on.spike_remote_fetches,
+            "offload_ratio": on.offload_ratio,
+            "peer_hit_rate": on.peer_hit_rate,
+            "peers_admitted": on.peers_admitted,
+            "peer_leases_expired": on.peer_leases_expired,
+            "availability": on.spike.availability,
+        },
+        "p99_speedup": speedup,
+    }
+    return ScenarioRun((off, on), lines, payload)
+
+
+#: The acceptance scenarios as CLI commands; the gates live in
+#: :mod:`repro.sim.scenarios`, shared with the tests and the benches.
+SCENARIO_COMMANDS: Tuple[ScenarioCommand, ...] = (
+    ScenarioCommand(
+        "scrub",
+        "corrupt replicas and verify the integrity scrubber",
+        _CORPUS_FLAGS
+        + (
+            _MEMBERS_FLAG,
+            _flag("--corrupt", type=int, default=3,
+                  help="number of on-disk copies to rot"),
+            _flag("--scrub-seed", type=int, default=7,
+                  help="seed of the corruption pick"),
+        ),
+        _scrub,
+        scenarios.bit_rot_gates,
+    ),
+    ScenarioCommand(
+        "migrate",
+        "run the demand-shift scenario and verify replica migration",
+        (_flag("--migrate-seed", type=int, default=7, help=_PAIR_SEED_HELP),),
+        _migrate,
+        scenarios.demand_shift_gates,
+        json_label="migration comparison",
+    ),
+    ScenarioCommand(
+        "partition",
+        "run the community-split scenario and verify partition tolerance",
+        (_flag("--partition-seed", type=int, default=7, help=_PAIR_SEED_HELP),),
+        _partition,
+        scenarios.community_split_gates,
+        json_label="partition comparison",
+    ),
+    ScenarioCommand(
+        "flashcrowd",
+        "run the flash-crowd scenario and verify the peer tier",
+        (
+            _flag("--flash-seed", type=int, default=7, help=_PAIR_SEED_HELP),
+            _flag("--quick", action="store_true",
+                  help="shorter baseline and spike phases (CI smoke)"),
+        ),
+        _flashcrowd,
+        scenarios.flash_crowd_gates,
+        json_label="flash-crowd comparison",
+    ),
+)
 
 
 def cmd_perf(args) -> int:
@@ -751,19 +666,10 @@ def cmd_perf(args) -> int:
     The shard bench runs even under ``--quick`` (capped like the resolve
     bench), which is what the CI shard-equivalence gate uses; a
     ``--shards`` run is shard-focused and skips the campaign bench.
-
-    ``--profile N`` runs the resolve loop (and, unless ``--quick`` or
-    ``--shards``, a short campaign) under :mod:`cProfile` and prints
-    the top-N entries by cumulative time; with ``--json`` the entries
-    land in the report under ``"profile"``.
     """
-    import json as _json
-
     from .perf import (
         bench_to_dict,
         campaign_speedup,
-        profile_campaign,
-        profile_resolve,
         resolve_throughput,
         shard_throughput,
     )
@@ -795,25 +701,6 @@ def cmd_perf(args) -> int:
         shard_results.append(sb)
         shards_ok = shards_ok and sb.identical
 
-    profile = None
-    if args.profile:
-        profile = {
-            "resolve": profile_resolve(
-                far_clusters=scale,
-                requests=requests,
-                top_n=args.profile,
-            )
-        }
-        if not args.quick and not args.shards:
-            profile["campaign"] = profile_campaign(top_n=args.profile)
-        for section, entries in profile.items():
-            print(f"\nprofile: {section} (top {args.profile} by cumulative time)")
-            for e in entries:
-                print(
-                    f"  {e['cumtime_s']:9.4f}s cum  {e['tottime_s']:9.4f}s tot  "
-                    f"{e['ncalls']:>9} calls  {e['function']}"
-                )
-
     campaign = None
     speedup_ok = True
     if not args.quick and not args.shards:
@@ -840,23 +727,12 @@ def cmd_perf(args) -> int:
                     f"< {args.workers} workers — cannot win on this machine)"
                 )
 
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(
-                    bench_to_dict(
-                        resolve,
-                        campaign,
-                        shard_results or None,
-                        profile=profile,
-                    ),
-                    fh,
-                    indent=2,
-                )
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote perf report to {args.json}")
+    if args.json and not _write_json(
+        args.json,
+        bench_to_dict(resolve, campaign, shard_results or None),
+        "perf report",
+    ):
+        return 2
 
     ok = (
         resolve.identical
@@ -882,13 +758,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="S-CDN reproduction toolkit (Chard et al., SC 2012)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed_author=True):
-        p.add_argument("--corpus", help="corpus JSON file (default: synthesize)")
-        p.add_argument("--seed", type=int, default=42, help="corpus seed")
-        if seed_author:
-            p.add_argument("--seed-author", help="ego seed author id")
-        p.add_argument("--hops", type=int, default=3, help="ego network hops")
+    ego_flags = _CORPUS_FLAGS + (
+        _flag("--hops", type=int, default=3, help="ego network hops"),
+    )
+    live_flags = _CORPUS_FLAGS + (_MEMBERS_FLAG,)
 
     p = sub.add_parser("generate", help="synthesize a corpus to JSON")
     p.add_argument("--out", required=True)
@@ -896,15 +769,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("table1", help="Table I rows")
-    common(p)
+    _add_flags(p, ego_flags)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("fig2", help="Fig. 2 topology summaries")
-    common(p)
+    _add_flags(p, ego_flags)
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="Fig. 3 hit-rate curves")
-    common(p)
+    _add_flags(p, ego_flags)
     p.add_argument("--runs", type=int, default=25)
     p.add_argument("--study-seed", type=int, default=7)
     p.add_argument("--chart", action="store_true", help="ASCII chart per panel")
@@ -912,14 +785,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("simulate", help="run a live S-CDN and print metrics")
-    common(p)
-    p.add_argument("--members", type=int, default=20)
+    _add_flags(p, live_flags)
     p.add_argument("--days", type=float, default=1.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("obs", help="run a live S-CDN and print the obs report")
-    common(p)
-    p.add_argument("--members", type=int, default=20)
+    _add_flags(p, live_flags)
     p.add_argument("--days", type=float, default=1.0)
     p.add_argument("--json", help="also write the snapshot JSON to this path")
     p.add_argument("--trace", type=int, default=10,
@@ -933,8 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "chaos", help="run a fault-injection campaign and print the report"
     )
-    common(p)
-    p.add_argument("--members", type=int, default=20)
+    _add_flags(p, live_flags)
     p.add_argument("--horizon", type=float, default=3600.0,
                    help="campaign horizon in simulated seconds")
     p.add_argument("--chaos-seed", type=int, default=7,
@@ -985,17 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
-        "scrub", help="corrupt replicas and verify the integrity scrubber"
-    )
-    common(p)
-    p.add_argument("--members", type=int, default=20)
-    p.add_argument("--corrupt", type=int, default=3,
-                   help="number of on-disk copies to rot")
-    p.add_argument("--scrub-seed", type=int, default=7,
-                   help="seed of the corruption pick")
-    p.set_defaults(func=cmd_scrub)
-
-    p = sub.add_parser(
         "perf",
         help="measure resolve throughput and campaign parallel speedup",
     )
@@ -1023,51 +882,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail if campaign speedup falls below this when the "
                         "machine has at least --workers usable cores "
                         "(0 disables the gate)")
-    p.add_argument("--profile", type=int, metavar="N", default=None,
-                   help="profile the resolve loop (and the campaign unless "
-                        "--quick/--shards) under cProfile and print the "
-                        "top-N cumulative entries")
     p.add_argument("--json", help="also write the perf report to this path")
     p.set_defaults(func=cmd_perf)
 
-    p = sub.add_parser(
-        "migrate",
-        help="run the demand-shift scenario and verify replica migration",
-    )
-    p.add_argument("--migrate-seed", type=int, default=7,
-                   help="seed of the scenario deployment pair")
-    p.add_argument("--json", help="also write the off/on comparison to this path")
-    p.set_defaults(func=cmd_migrate)
-
-    p = sub.add_parser(
-        "partition",
-        help="run the community-split scenario and verify partition tolerance",
-    )
-    p.add_argument("--partition-seed", type=int, default=7,
-                   help="seed of the scenario deployment pair")
-    p.add_argument("--min-acceptance", type=float, default=0.9,
-                   help="majority-side acceptance required for exit status 0")
-    p.add_argument("--json", help="also write the off/on comparison to this path")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser(
-        "flashcrowd",
-        help="run the flash-crowd scenario and verify the peer tier",
-    )
-    p.add_argument("--flash-seed", type=int, default=7,
-                   help="seed of the scenario deployment pair")
-    p.add_argument("--quick", action="store_true",
-                   help="shorter baseline and spike phases (CI smoke)")
-    p.add_argument("--spike-factor", type=int, default=10,
-                   help="spike tick-rate multiplier (the whole crowd also "
-                        "reads every spike tick)")
-    p.add_argument("--min-offload", type=float, default=0.5,
-                   help="spike offload ratio required for exit status 0")
-    p.add_argument("--min-p99-speedup", type=float, default=2.0,
-                   help="spike p99 fetch-time improvement factor required "
-                        "for exit status 0")
-    p.add_argument("--json", help="also write the off/on comparison to this path")
-    p.set_defaults(func=cmd_flashcrowd)
+    for command in SCENARIO_COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        _add_flags(p, command.flags)
+        if command.json_label:
+            p.add_argument(
+                "--json", help="also write the off/on comparison to this path"
+            )
+        p.set_defaults(func=functools.partial(_run_scenario, command))
 
     return parser
 

@@ -494,82 +494,6 @@ def shard_throughput(
     )
 
 
-def profile_entries(fn, *, top_n: int = 15) -> List[Dict[str, object]]:
-    """Run ``fn`` under :mod:`cProfile`; return the top-N cumulative entries.
-
-    Each entry is JSON-ready: qualified function, call count, total time
-    (own frames) and cumulative time in seconds. This is what ``repro
-    perf --profile N`` embeds in the perf JSON so hot-path rounds start
-    from data.
-    """
-    import cProfile
-    import pstats
-
-    if top_n < 1:
-        raise ConfigurationError(f"top_n must be >= 1, got {top_n}")
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        fn()
-    finally:
-        prof.disable()
-    stats = pstats.Stats(prof)
-    stats.sort_stats("cumulative")
-    out: List[Dict[str, object]] = []
-    for func in (stats.fcn_list or [])[:top_n]:
-        _cc, ncalls, tottime, cumtime, _callers = stats.stats[func]
-        filename, line, name = func
-        out.append(
-            {
-                "function": f"{filename}:{line}({name})",
-                "ncalls": ncalls,
-                "tottime_s": round(tottime, 6),
-                "cumtime_s": round(cumtime, 6),
-            }
-        )
-    return out
-
-
-def profile_resolve(
-    *,
-    far_clusters: int = 40,
-    datasets: int = 6,
-    requests: int = 2000,
-    seed: int = 7,
-    top_n: int = 15,
-) -> List[Dict[str, object]]:
-    """Profile the resolve loop (deployment build excluded from the profile)."""
-    server, segments, authors = build_resolve_deployment(
-        far_clusters=far_clusters, datasets=datasets, seed=seed
-    )
-    workload = _request_workload(segments, authors, requests)
-
-    def loop() -> None:
-        for seg, req in workload:
-            server.resolve_candidates(seg, req)
-
-    return profile_entries(loop, top_n=top_n)
-
-
-def profile_campaign(
-    config: Optional[CampaignConfig] = None,
-    *,
-    n_seeds: int = 2,
-    root_seed: int = 11,
-    top_n: int = 15,
-) -> List[Dict[str, object]]:
-    """Profile the serial campaign loop (the parallel executor's workers
-    live in other processes, which cProfile cannot see)."""
-    cfg = config if config is not None else CampaignConfig()
-    seeds = seed_grid(root_seed, n_seeds)
-    _trusted_graph(cfg.corpus_seed, cfg.ego_hops)  # keep the one-time build out
-
-    def loop() -> None:
-        run_campaign_serial(cfg, seeds)
-
-    return profile_entries(loop, top_n=top_n)
-
-
 def available_cores() -> int:
     """CPUs this process may actually schedule on.
 
@@ -636,8 +560,6 @@ def bench_to_dict(
     resolve: ResolveBenchResult,
     campaign: Optional[CampaignBenchResult] = None,
     shards: Optional[List[ShardBenchResult]] = None,
-    *,
-    profile: Optional[Dict[str, List[Dict[str, object]]]] = None,
 ) -> Dict[str, object]:
     """JSON-ready dict combining the measurements (all but resolve optional)."""
     out: Dict[str, object] = {
@@ -683,6 +605,4 @@ def bench_to_dict(
             }
             for s in shards
         ]
-    if profile is not None:
-        out["profile"] = profile
     return out

@@ -507,9 +507,7 @@ def run_chaos_campaign(
         # network and reconcile so the final audit judges a converged
         # control plane, not a partition frozen mid-flight
         net.network.heal()
-        reconcile = getattr(net.server, "reconcile_after_heal", None)
-        if callable(reconcile):
-            reconcile(at=config.horizon_s)
+        net.server.reconcile_after_heal(at=config.horizon_s)
     if migration is not None:
         # settle copies the horizon cut mid-flight before the final audit
         # judges redundancy
@@ -667,8 +665,7 @@ def run_chaos_campaign(
     for t, i in zip(heal_times, heal_idx):
         cleared = float(clear_times[i]) if i < len(clear_times) else config.horizon_s
         reconverge.append(max(cleared - float(t), 0.0))
-    pending = getattr(net.server, "pending_handoff", None)
-    divergence = len(pending()) if callable(pending) else 0
+    divergence = len(net.server.pending_handoff())
     divergence += sum(
         1 for ds_id in dataset_ids if DatasetId(ds_id) not in net.server.catalog
     )

@@ -424,9 +424,10 @@ class FailureInjector:
           event (the failure-triggered repair path, on top of the
           policy's periodic cadence);
         * every partition heal runs the server's post-heal reconciliation
-          (``reconcile_after_heal``, when the server has one — the router
-          does) and, with ``policy`` given, schedules a repair audit, so
-          replicas stranded under-replicated by the partition recover.
+          (``reconcile_after_heal``: the router replays its handoff log, a
+          plain server has nothing to replay) and, with ``policy`` given,
+          schedules a repair audit, so replicas stranded under-replicated
+          by the partition recover.
 
         Nodes unknown to the server (injector population wider than the
         membership) are ignored.
@@ -459,11 +460,8 @@ class FailureInjector:
 
         self.on_failure(handler)
 
-        reconcile = getattr(server, "reconcile_after_heal", None)
-
         def heal_handler(at: float) -> None:
-            if callable(reconcile):
-                reconcile(at=at)
+            server.reconcile_after_heal(at=at)
             if policy is not None:
                 policy.schedule_repair(self.engine, delay_s=repair_delay_s)
 
@@ -672,13 +670,6 @@ class FailureInjector:
             raise ConfigurationError("need rate >= 0 and horizon > 0")
         if rate_s == 0:
             return 0
-        if not callable(getattr(registry, "leave", None)) or not callable(
-            getattr(registry, "peer_nodes", None)
-        ):
-            raise ConfigurationError(
-                "random_peer_leaves() needs a peer registry exposing "
-                "leave() and peer_nodes() (see repro.cdn.peers.PeerRegistry)"
-            )
         n = 0
         t = self.engine.now
         while True:

@@ -1,27 +1,34 @@
-"""Canned end-to-end scenarios with deterministic, assertable outcomes.
+"""Canned end-to-end scenarios with deterministic, assertable outcomes,
+and the acceptance gates that judge them.
+
+Each scenario is a run plus a gate function: ``*_gates`` turns a result
+into named :class:`Gate` verdicts. The test suite, the ``repro
+migrate|partition|flashcrowd|scrub`` CLI commands and the
+``benchmarks/test_bench_{migration,partition,peers}.py`` benches share the
+runs *and* the gates, so every acceptance condition is written once and
+all three judge the same run by the same rule.
 
 The first scenario is the **demand shift**: the acceptance experiment of
-the replica migration subsystem (:mod:`repro.cdn.migration`), shared
-verbatim by the test suite, the ``repro migrate`` CLI smoke, and
-``benchmarks/test_bench_migration.py`` so all three judge the same run.
+the replica migration subsystem (:mod:`repro.cdn.migration`).
 
 The second is the **community split**: the acceptance experiment of the
-partition-tolerance layer (:func:`run_community_split` below), shared by
-the test suite, the ``repro partition`` CLI smoke, and
-``benchmarks/test_bench_partition.py`` the same way.
+partition-tolerance layer (:func:`run_community_split` below).
 
 The third is the **flash crowd**: the acceptance experiment of the
-peer-assisted delivery tier (:func:`run_flash_crowd` below), shared by
-the test suite, the ``repro flashcrowd`` CLI smoke, and
-``benchmarks/test_bench_peers.py``. A conference deadline spikes the
-request rate on one dataset by 10-100x; with the peer tier on, the
-crowd's own fresh fetches become serving leases that are socially closer
-than the origin replicas, so the spike is absorbed at the edge.
+peer-assisted delivery tier (:func:`run_flash_crowd` below). A conference
+deadline spikes the request rate on one dataset by 10-100x; with the peer
+tier on, the crowd's own fresh fetches become serving leases that are
+socially closer than the origin replicas, so the spike is absorbed at the
+edge. The same topology also hosts chaos campaigns
+(:func:`flash_chaos_network`, :data:`FLASH_CHAOS_OVERRIDES`).
 
-Shape: a two-cluster coauthorship graph — a *near* cluster around the
-data owner and a *far* cluster joined by a single bridge edge. Datasets
-publish while only the near cluster has repositories, so every replica
-starts near the owner. Then demand shifts: the far cluster begins
+The fourth is **bit rot** (:func:`run_bit_rot`): rot on-disk copies of a
+populated deployment, scrub once, and check detection and repair.
+
+Demand-shift shape: a two-cluster coauthorship graph — a *near* cluster
+around the data owner and a *far* cluster joined by a single bridge
+edge. Datasets publish while only the near cluster has repositories, so
+every replica starts near the owner. Then demand shifts: the far cluster begins
 round-robin reads of all datasets. Far members contribute tiny
 repositories (replica partition fits two segments, user cache two), so
 their caches thrash and, without migration, every post-shift access pays
@@ -42,16 +49,39 @@ strictly-positive delta rather than a geographic accident.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..ids import AuthorId, DatasetId, NodeId
+from ..ids import AuthorId, DatasetId, NodeId, SegmentId
 from ..obs import Registry
+from ..rng import make_rng
 from ..social.graph import CoauthorshipGraph
 from .network import GeoPoint, NetworkModel
+
+if TYPE_CHECKING:  # avoid a runtime sim -> cdn import cycle
+    from ..cdn.integrity import ScrubReport
+    from ..cdn.replication import RedundancyReport
+    from ..scdn import SCDN
+
+#: Majority-side acceptance the community split must keep through the cut.
+MIN_MAJORITY_ACCEPTANCE = 0.9
+#: Share of the flash crowd's spike serves the peer tier must take off
+#: the origin.
+MIN_PEER_OFFLOAD = 0.5
+#: Factor by which the peer tier must cut the spike's p99 fetch time.
+MIN_P99_SPEEDUP = 2.0
+
+
+class Gate(NamedTuple):
+    """One named acceptance condition: whether it held, and the value it
+    judged (what a failure report prints)."""
+
+    name: str
+    passed: bool
+    observed: object
 
 #: Author ids of the scenario graph. The owner and two more "near"
 #: researchers form one complete cluster; three "far" researchers form
@@ -300,6 +330,27 @@ def compare_demand_shift(
     return off, on
 
 
+def demand_shift_gates(off: DemandShiftResult, on: DemandShiftResult) -> List[Gate]:
+    """The migration gates over a :func:`compare_demand_shift` pair:
+    migration pays, its moves land safely, and the trust swap is drained
+    only when migration runs."""
+    off_mean = off.post_shift.mean_duration_s
+    on_mean = on.post_shift.mean_duration_s
+    redundancy = on.min_mid_move_redundancy
+    return [
+        Gate("post_shift_mean_falls", on_mean < off_mean,
+             f"off {off_mean:.6f}s, on {on_mean:.6f}s"),
+        Gate("moves_complete", on.moves_completed > 0 and on.moves_failed == 0,
+             f"{on.moves_completed} completed, {on.moves_failed} failed"),
+        Gate("mid_move_redundancy", redundancy is not None and redundancy >= 1.0,
+             redundancy),
+        Gate("no_untrusted_leftover", on.untrusted_leftover == 0,
+             on.untrusted_leftover),
+        Gate("swap_strands_without_migration", off.untrusted_leftover > 0,
+             off.untrusted_leftover),
+    ]
+
+
 # ----------------------------------------------------------------------
 # community split (partition tolerance)
 # ----------------------------------------------------------------------
@@ -538,8 +589,7 @@ def run_community_split(
     net.engine.run(until=cfg.horizon_s)
 
     snap = registry.snapshot()["counters"]
-    pending = getattr(net.server, "pending_handoff", None)
-    divergence = len(pending()) if callable(pending) else 0
+    divergence = len(net.server.pending_handoff())
     expected = datasets + ["b-late"]
     present = sum(1 for d in expected if DatasetId(d) in net.server.catalog)
     divergence += len(expected) - present
@@ -570,6 +620,33 @@ def compare_community_split(
     off = run_community_split(partitions=False, seed=seed, config=config)
     on = run_community_split(partitions=True, seed=seed, config=config)
     return off, on
+
+
+def community_split_gates(
+    off: CommunitySplitResult, on: CommunitySplitResult
+) -> List[Gate]:
+    """The partition-tolerance gates over a :func:`compare_community_split`
+    pair: the split bites, the majority rides it out on degraded serves,
+    every parked write replays, and both runs converge on the same three
+    datasets with nothing diverged or lost."""
+    minority, majority = on.minority.availability, on.majority.availability
+    queued, replayed = on.handoff_queued, on.handoff_replayed
+    return [
+        Gate("minority_cut_off", minority < 1.0, f"{minority:.4f}"),
+        Gate("majority_acceptance", majority >= MIN_MAJORITY_ACCEPTANCE,
+             f"{majority:.4f}"),
+        Gate("degraded_serves", on.degraded_serves > 0, on.degraded_serves),
+        Gate("handoff_replayed", queued > 0 and replayed == queued,
+             f"{replayed}/{queued}"),
+        Gate("late_dataset_served", on.late_dataset_served, on.late_dataset_served),
+        Gate("zero_divergence",
+             off.divergence_after_heal == 0 and on.divergence_after_heal == 0,
+             f"off {off.divergence_after_heal}, on {on.divergence_after_heal}"),
+        Gate("nothing_lost", on.final_lost == 0, on.final_lost),
+        Gate("datasets_converged",
+             off.datasets_converged == on.datasets_converged == 3,
+             f"off {off.datasets_converged}, on {on.datasets_converged}"),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -721,6 +798,39 @@ def _flash_network(graph: CoauthorshipGraph) -> NetworkModel:
         else:
             net.add_node(NodeId(name), GeoPoint(0.0, 0.0), bandwidth_bps=1e9)
     return net
+
+
+#: :class:`~repro.sim.chaos.ChaosConfig` overrides that fit a chaos
+#: campaign to :func:`flash_chaos_network`: every author joins, and
+#: replicas publish before the late joiners arrive, so they stay pinned on
+#: the owners while the late joiners — strictly closer to each other than
+#: to any replica — churn through tight repositories. This is the
+#: deployment where the peer tier has social room to serve.
+FLASH_CHAOS_OVERRIDES: Dict[str, object] = {
+    "members": 13,
+    "datasets": 2,
+    "segments_per_dataset": 2,
+    "n_replicas": 3,
+    "member_capacity_bytes": 20_000_000,
+    "publish_before_join": True,
+}
+
+
+def flash_chaos_network(*, seed: int = 1) -> "SCDN":
+    """An empty deployment over :func:`flash_crowd_graph` and its
+    geography (fresh registry), ready for
+    :func:`~repro.sim.chaos.run_chaos_campaign` with a config carrying
+    :data:`FLASH_CHAOS_OVERRIDES`."""
+    from ..scdn import SCDN, SCDNConfig
+
+    graph = flash_crowd_graph()
+    return SCDN(
+        graph,
+        config=SCDNConfig(proximity_hops=6),
+        seed=seed,
+        registry=Registry(),
+        network=_flash_network(graph),
+    )
 
 
 def run_flash_crowd(
@@ -879,3 +989,109 @@ def compare_flash_crowd(
     off = run_flash_crowd(peer_tier=False, seed=seed, config=config)
     on = run_flash_crowd(peer_tier=True, seed=seed, config=config)
     return off, on
+
+
+def p99_speedup(off: FlashCrowdResult, on: FlashCrowdResult) -> float:
+    """Spike p99 fetch time with the peer tier off over on (``inf`` when
+    the peers-on run made no remote fetch)."""
+    if not on.spike_fetch_p99_s:
+        return float("inf")
+    return off.spike_fetch_p99_s / on.spike_fetch_p99_s
+
+
+def flash_crowd_gates(off: FlashCrowdResult, on: FlashCrowdResult) -> List[Gate]:
+    """The peer-tier gates over a :func:`compare_flash_crowd` pair: the
+    tier offloads the origin and cuts the p99, both runs stay fully
+    available on identical workloads, and the peers-off run never touches
+    the tier."""
+    speedup = p99_speedup(off, on)
+    off_avail, on_avail = off.spike.availability, on.spike.availability
+    return [
+        Gate("peer_offload", on.offload_ratio >= MIN_PEER_OFFLOAD,
+             f"{on.offload_ratio:.4f}"),
+        Gate("p99_speedup", speedup >= MIN_P99_SPEEDUP, f"{speedup:.2f}x"),
+        Gate("peers_admitted", on.peers_admitted > 0, on.peers_admitted),
+        Gate("full_availability", off_avail == 1.0 and on_avail == 1.0,
+             f"off {off_avail:.4f}, on {on_avail:.4f}"),
+        Gate("same_remote_fetches",
+             off.spike_remote_fetches == on.spike_remote_fetches,
+             f"off {off.spike_remote_fetches}, on {on.spike_remote_fetches}"),
+        Gate("peers_off_inert",
+             off.spike_peer_fetches == 0 and off.offload_ratio == 0.0,
+             f"{off.spike_peer_fetches} peer fetches, "
+             f"offload {off.offload_ratio:.4f}"),
+    ]
+
+
+# ----------------------------------------------------------------------
+# bit rot (integrity scrubbing)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BitRotResult:
+    """Outcome of one rot -> scrub -> repair-audit pass."""
+
+    #: ``(segment, node)`` of every rotted copy, in pick order
+    rotted: Tuple[Tuple[SegmentId, NodeId], ...]
+    scrub: "ScrubReport"
+    #: the repair audit the scrub's quarantines triggered; ``None`` when
+    #: none ran (a clean pass triggers none)
+    audit: Optional["RedundancyReport"]
+    #: servable replicas still failing verification after the repair
+    corrupt_servable: int
+
+
+def run_bit_rot(net: "SCDN", *, corrupt: int, seed: int = 7) -> BitRotResult:
+    """Rot ``corrupt`` on-disk copies of a populated deployment, run one
+    scrub pass, and report what it caught and repaired.
+
+    The rotted copies are a seeded pick without replacement over every
+    hosted copy (sorted by author, then segment), so a deployment and a
+    ``seed`` always rot the same copies. The scrub quarantines what fails
+    verification and triggers a repair audit.
+    """
+    if corrupt < 0:
+        raise ConfigurationError(f"corrupt must be >= 0, got {corrupt}")
+    copies = [
+        (net.clients[author].repository, seg)
+        for author in sorted(net.clients)
+        for seg in sorted(net.clients[author].repository.hosted_segments())
+    ]
+    if not copies:
+        raise ConfigurationError("no replicas on disk, nothing to scrub")
+    rng = make_rng(seed)
+    k = min(corrupt, len(copies))
+    picks = sorted(int(i) for i in rng.choice(len(copies), size=k, replace=False))
+    rotted = []
+    for i in picks:
+        repo, seg = copies[i]
+        repo.corrupt_replica(seg, at=0.0)
+        rotted.append((seg, repo.node_id))
+    scrubber = net.integrity_scrubber()
+    report = scrubber.scrub(at=0.0)  # quarantines + triggers repair audit
+    audits = net.replication.reports
+    return BitRotResult(
+        rotted=tuple(rotted),
+        scrub=report,
+        audit=audits[-1] if audits else None,
+        corrupt_servable=len(scrubber.corrupt_servable()),
+    )
+
+
+def bit_rot_gates(result: BitRotResult) -> List[Gate]:
+    """The integrity gates over a :func:`run_bit_rot` result: every rotted
+    copy is quarantined and re-replicated, and nothing corrupt stays
+    servable. With nothing rotted, a clean pass (no quarantine, no audit)
+    passes."""
+    injected, audit = len(result.rotted), result.audit
+    return [
+        Gate("rot_quarantined", result.scrub.quarantined == injected,
+             f"{result.scrub.quarantined}/{injected}"),
+        Gate("repair_audit_ran", audit is not None or injected == 0,
+             audit is not None),
+        Gate("budget_restored", audit is None or audit.under_replicated == 0,
+             "n/a" if audit is None else audit.under_replicated),
+        Gate("no_corrupt_servable", result.corrupt_servable == 0,
+             result.corrupt_servable),
+    ]

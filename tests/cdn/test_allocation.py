@@ -8,7 +8,7 @@ from repro.errors import CatalogError, ConfigurationError, PlacementError
 from repro.ids import AuthorId, DatasetId, NodeId, SegmentId
 from repro.social.graph import build_coauthorship_graph
 from repro.social.records import Corpus
-from repro.cdn.allocation import AllocationServer
+from repro.cdn.allocation import AllocationServer, ReconcileReport
 from repro.cdn.content import ReplicaState, segment_dataset
 from repro.cdn.placement import NodeDegreePlacement, RandomPlacement
 from repro.cdn.storage import StorageRepository
@@ -353,3 +353,20 @@ class TestPublicationRollback:
             for a in line_graph.nodes()
         )
         assert used == 0  # segment 0's placement was rolled back too
+
+
+class TestControlPlane:
+    def test_flat_server_has_nothing_to_hand_off(self, line_graph):
+        """The router's control-plane methods exist on one server too, so
+        callers need no probe: an empty handoff log and a no-op post-heal
+        sweep that reports all zeros and leaves the catalog alone."""
+        server = make_server(line_graph)
+        server.publish_dataset(
+            segment_dataset(DatasetId("d"), AuthorId("a"), 1000), n_replicas=2
+        )
+        before = sorted(r.replica_id for r in server.catalog.iter_replicas())
+        assert server.pending_handoff() == []
+        assert server.reconcile_after_heal(at=5.0) == ReconcileReport(
+            replayed_publishes=0, replayed_repairs=0, repaired=0, remaining=0
+        )
+        assert sorted(r.replica_id for r in server.catalog.iter_replicas()) == before

@@ -9,6 +9,7 @@ from repro.ids import AuthorId
 from repro.obs import Registry
 from repro.scdn import SCDN
 from repro.sim.chaos import ChaosConfig, ChaosReport, run_chaos_campaign
+from repro.sim.scenarios import FLASH_CHAOS_OVERRIDES, flash_chaos_network
 from repro.social.graph import build_coauthorship_graph
 from repro.social.records import Corpus
 
@@ -323,31 +324,11 @@ _PEER_DEFAULTS = {
 }
 
 
-def _flash_peer_net(seed=1):
-    from repro.scdn import SCDNConfig
-    from repro.sim.scenarios import _flash_network, flash_crowd_graph
-
-    graph = flash_crowd_graph()
-    return SCDN(
-        graph,
-        config=SCDNConfig(proximity_hops=6),
-        seed=seed,
-        registry=Registry(),
-        network=_flash_network(graph),
-    )
-
-
 _FLASH_PEERS = ChaosConfig(
     horizon_s=1800.0,
-    members=13,
-    datasets=2,
-    segments_per_dataset=2,
-    dataset_size_bytes=10_000_000,
-    n_replicas=3,
-    member_capacity_bytes=20_000_000,
-    publish_before_join=True,
     peer_tier=True,
     peer_leave_rate_s=0.002,
+    **FLASH_CHAOS_OVERRIDES,
 )
 
 
@@ -382,7 +363,7 @@ class TestPeerCampaigns:
         tight member caches) the tier admits leases, serves reads, and
         loses peers to churn — while the campaign stays fully available
         and integrity-clean."""
-        report = run_chaos_campaign(_flash_peer_net(), _FLASH_PEERS, seed=7)
+        report = run_chaos_campaign(flash_chaos_network(), _FLASH_PEERS, seed=7)
         assert report.peers_admitted > 0
         assert report.peer_serves > 0
         assert report.peer_offload_ratio > 0.0
@@ -391,8 +372,8 @@ class TestPeerCampaigns:
         assert report.corrupt_servable_after_repair == 0
 
     def test_peer_campaign_deterministic(self):
-        a = run_chaos_campaign(_flash_peer_net(), _FLASH_PEERS, seed=7)
-        b = run_chaos_campaign(_flash_peer_net(), _FLASH_PEERS, seed=7)
+        a = run_chaos_campaign(flash_chaos_network(), _FLASH_PEERS, seed=7)
+        b = run_chaos_campaign(flash_chaos_network(), _FLASH_PEERS, seed=7)
         assert a == b
 
     def test_peer_churn_rate_zero_draws_nothing(self):
@@ -408,13 +389,13 @@ class TestPeerCampaigns:
             outage_rate_per_node_s=0.0,
             peer_leave_rate_s=0.0,
         )
-        a = run_chaos_campaign(_flash_peer_net(), quiet, seed=7)
-        b = run_chaos_campaign(_flash_peer_net(), quiet, seed=7)
+        a = run_chaos_campaign(flash_chaos_network(), quiet, seed=7)
+        b = run_chaos_campaign(flash_chaos_network(), quiet, seed=7)
         assert a == b
         assert a.peer_leaves == 0
 
     def test_report_lines_include_peer_tier(self):
-        report = run_chaos_campaign(_flash_peer_net(), _FLASH_PEERS, seed=7)
+        report = run_chaos_campaign(flash_chaos_network(), _FLASH_PEERS, seed=7)
         text = "\n".join(report.lines())
         assert "peer tier:" in text
         assert "offload=" in text
@@ -425,7 +406,7 @@ class TestPeerCampaigns:
         move some after owner crashes, so assert on the quiet variant)."""
         from dataclasses import replace
 
-        net = _flash_peer_net()
+        net = flash_chaos_network()
         calm = replace(
             _FLASH_PEERS,
             crash_rate_per_node_s=0.0,

@@ -161,6 +161,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["simulate", "obs", "chaos", "scrub"])
+    def test_hops_only_where_it_is_read(self, command, capsys):
+        # these commands always build a 2-hop ego network; an accepted but
+        # ignored --hops would silently run something else than asked
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--hops", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --hops 3" in capsys.readouterr().err
+
 
 class TestErrorHandling:
     def test_library_errors_exit_cleanly(self, tmp_path, capsys):
