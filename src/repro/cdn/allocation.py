@@ -23,7 +23,6 @@ multi-tenant sims); the process-wide default is used otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -40,9 +39,6 @@ from .hopindex import HopIndex
 from .partitioning import PartitionAssignment
 from .placement.base import PlacementAlgorithm
 from .storage import StorageRepository
-
-# sort key of the ``(key, ...)`` tuples the rank sites build
-_first = itemgetter(0)
 
 #: hop-distance sentinel for "requester has no social path to this host";
 #: sorts after every real distance and is reported as ``social_hops=None``
@@ -889,9 +885,13 @@ class AllocationServer:
         strictly socially closer**; at equal distance the repository tier
         wins (authoritative, scrubbed, and the peer saves nothing when it
         is no nearer). Among peers at one distance, fewest serves first,
-        then node id. Without a registry — or with one holding no
-        admissible lease for this segment — the output is byte-identical
-        to a peer-unaware server.
+        then node id. Both tiers share one key, ``(hops, tier, load, node
+        id)`` with tier 0 for the repository and 1 for peers: without peer
+        candidates it orders exactly like ``(hops, load, node id)``, so
+        the output is byte-identical to a peer-unaware server. Node ids
+        are unique within one ranking, so the key is a total order; plain
+        tuples are sorted and a :class:`ResolvedReplica` is built only for
+        the first ``limit`` entries (callers keeping the head pass 1).
 
         This is a pure query — no read is recorded, no resolve counters
         move (hop-cache hit/miss accounting still applies). It is the
@@ -923,51 +923,27 @@ class AllocationServer:
             return []
         dists = self._holder_hops(requester, reps + peer_leases)
 
+        # the node id is unique per ranking: ties never reach the replica
         repos = self._repos
-        if not peer_leases:
-            keyed = [
-                ((d, repos[r.node_id].reads_served, str(r.node_id)), r, d)
-                for r, d in zip(reps, dists)
-            ]
-            keyed.sort(key=_first)
-            if limit is not None:
-                keyed = keyed[:limit]
-            return [
-                ResolvedReplica(
-                    replica=r, social_hops=None if d == UNREACHABLE_HOPS else d
-                )
-                for _key, r, d in keyed
-            ]
-
-        # Two-tier merge. Key: (hops, tier, load, node id) with tier 0 for
-        # the repository and 1 for peers — a peer outranks a repository
-        # replica iff strictly closer; ties stay with the catalog.
-        merged: List[Tuple[Tuple[int, int, int, str], ResolvedReplica]] = []
-        for r, d in zip(reps, dists):
-            merged.append(
-                (
-                    (d, 0, repos[r.node_id].reads_served, str(r.node_id)),
-                    ResolvedReplica(
-                        replica=r, social_hops=None if d == UNREACHABLE_HOPS else d
-                    ),
-                )
-            )
-        for lease, d in zip(peer_leases, dists[len(reps):]):
-            merged.append(
-                (
-                    (d, 1, lease.serves, str(lease.node_id)),
-                    ResolvedReplica(
-                        replica=lease.replica,
-                        social_hops=None if d == UNREACHABLE_HOPS else d,
-                        peer=True,
-                    ),
-                )
-            )
-        merged.sort(key=_first)
-        out = [entry for _key, entry in merged]
+        ranked = [
+            (d, 0, repos[r.node_id].reads_served, str(r.node_id), r)
+            for r, d in zip(reps, dists)
+        ]
+        ranked += [
+            (d, 1, lease.serves, str(lease.node_id), lease.replica)
+            for lease, d in zip(peer_leases, dists[len(reps):])
+        ]
+        ranked.sort()
         if limit is not None:
-            out = out[:limit]
-        return out
+            del ranked[limit:]
+        return [
+            ResolvedReplica(
+                replica=r,
+                social_hops=None if d == UNREACHABLE_HOPS else d,
+                peer=tier == 1,
+            )
+            for d, tier, _load, _node, r in ranked
+        ]
 
     def record_served(self, replica: Replica) -> None:
         """Record a read served by ``replica``: the demand signal on the
@@ -1023,7 +999,7 @@ class AllocationServer:
             If no servable replica exists.
         """
         t0 = perf_counter()
-        candidates = self.resolve_candidates(segment_id, requester)
+        candidates = self.resolve_candidates(segment_id, requester, limit=1)
         if not candidates:
             self._m_resolve_failed.inc()
             self.obs.trace(
@@ -1106,7 +1082,7 @@ class AllocationServer:
         served: List[Tuple[SegmentId, Optional[AuthorId]]] = []
         failed: List[SegmentId] = []
         for segment_id, requester in requests:
-            candidates = self.resolve_candidates(segment_id, requester)
+            candidates = self.resolve_candidates(segment_id, requester, limit=1)
             if not candidates:
                 self._m_resolve_failed.inc()
                 failed.append(segment_id)

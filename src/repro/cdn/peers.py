@@ -214,10 +214,17 @@ class PeerRegistry:
         self.cache_segments = cache_segments
         self.max_concurrent_serves = max_concurrent_serves
 
-        #: node -> segment -> lease, insertion-ordered at both levels so
-        #: every iteration (candidate listing, leave, churn victim pools)
+        #: node -> segment -> lease (active or draining), insertion-ordered
+        #: at both levels so every iteration (leave, churn victim pools)
         #: is deterministic without sorting on the hot path
         self._leases: Dict[NodeId, Dict[SegmentId, PeerLease]] = {}
+        #: segment -> node -> *active* lease, in per-segment admission
+        #: order: discovery reads one segment's entry, never every node
+        self._by_segment: Dict[SegmentId, Dict[NodeId, PeerLease]] = {}
+        #: active-lease count per node (nodes with none are absent) and
+        #: in total; the cap check, the gauges and the queries read these
+        self._node_active: Dict[NodeId, int] = {}
+        self._n_active = 0
 
         self.obs = registry if registry is not None else get_registry()
         obs = self.obs
@@ -333,9 +340,9 @@ class PeerRegistry:
             )
             return existing
         if existing is not None:
-            # a closed/draining husk for the same segment: replace it
+            # a draining husk for the same segment: replace it
             del per_node[segment.segment_id]
-        if sum(1 for l in per_node.values() if l.active) >= self.cache_segments:
+        if self._node_active.get(node, 0) >= self.cache_segments:
             self._m_rejected_capacity.inc()
             self.obs.trace(
                 "peer_reject", ts=now, node=str(node), reason="capacity"
@@ -354,6 +361,9 @@ class PeerRegistry:
             label=f"peer-lease-expiry:{node}:{segment.segment_id}",
         )
         per_node[segment.segment_id] = lease
+        self._by_segment.setdefault(segment.segment_id, {})[node] = lease
+        self._node_active[node] = self._node_active.get(node, 0) + 1
+        self._n_active += 1
         self._m_admitted.inc()
         self._sync_gauges()
         self.obs.trace(
@@ -384,18 +394,20 @@ class PeerRegistry:
         ``requester_node`` while the network reports a partition, not the
         requester's own node, and not in ``exclude_nodes`` (the resolve
         path passes the repository candidates' nodes so one host is never
-        listed in both tiers). Returned in lease-insertion order; the
-        caller applies the deterministic rank rule.
+        listed in both tiers). Walks only this segment's index entry:
+        O(its active leases). Returned in the segment's lease-admission
+        order; the caller's rank key ends in the node id, unique within
+        one ranking, so this order can never change a ranking.
         """
+        by_node = self._by_segment.get(segment_id)
+        if not by_node:
+            return []
         excluded: Set[NodeId] = set(exclude_nodes)
         net = self.fabric.reachability
         partitioned = net is not None and net.partitioned
         out: List[PeerLease] = []
-        for node, per_node in self._leases.items():
+        for node, lease in by_node.items():
             if node == requester_node or node in excluded:
-                continue
-            lease = per_node.get(segment_id)
-            if lease is None or not lease.active:
                 continue
             if lease.in_flight >= self.max_concurrent_serves:
                 continue
@@ -484,9 +496,26 @@ class PeerRegistry:
             return
         if lease.in_flight > 0:
             lease.state = _DRAINING
-            self._sync_gauges()
+            self._retire(lease)
             return
         self._finalize_expiry(lease)
+
+    def _retire(self, lease: PeerLease) -> None:
+        """Take an active lease out of discovery and the counts (at drain
+        or close). A re-offer renews an active lease in place, so the
+        index entry for its (segment, node) is this very lease."""
+        node = lease.node_id
+        by_node = self._by_segment[lease.segment_id]
+        del by_node[node]
+        if not by_node:
+            del self._by_segment[lease.segment_id]
+        left = self._node_active[node] - 1
+        if left:
+            self._node_active[node] = left
+        else:
+            del self._node_active[node]
+        self._n_active -= 1
+        self._sync_gauges()
 
     def _finalize_expiry(self, lease: PeerLease) -> None:
         self._close(lease, reason="expired")
@@ -502,20 +531,23 @@ class PeerRegistry:
     def _close(self, lease: PeerLease, *, reason: str) -> None:
         """Remove a lease from the registry and cancel its pending expiry
         event — abrupt ends (crash, eviction, leave) must not leave a
-        phantom lease-end event in the engine queue."""
+        phantom lease-end event in the engine queue. Only this very lease
+        leaves ``_leases``: a re-offer may have replaced a draining lease
+        there, and finishing the old read must not drop its successor."""
         if lease.state == _CLOSED:
             return
+        if lease.state == _ACTIVE:
+            self._retire(lease)
         lease.state = _CLOSED
         lease.close_reason = reason
         if lease.expiry_event is not None:
             self.engine.cancel(lease.expiry_event)
             lease.expiry_event = None
         per_node = self._leases.get(lease.node_id)
-        if per_node is not None:
-            per_node.pop(lease.segment_id, None)
+        if per_node is not None and per_node.get(lease.segment_id) is lease:
+            del per_node[lease.segment_id]
             if not per_node:
                 del self._leases[lease.node_id]
-        self._sync_gauges()
 
     def evict(
         self, node: NodeId, segment_id: SegmentId, *, reason: str = "cache-evict"
@@ -622,38 +654,23 @@ class PeerRegistry:
         lease = self._leases.get(node, {}).get(segment_id)
         return lease is not None and lease.active
 
-    def active_leases(self) -> List[PeerLease]:
-        """Every active lease, in (node, segment) insertion order."""
-        return [
-            lease
-            for per_node in self._leases.values()
-            for lease in per_node.values()
-            if lease.active
-        ]
-
     def peer_nodes(self) -> List[NodeId]:
         """Nodes holding at least one active lease, insertion-ordered.
 
         The churn campaign's victim pool: stable order means the
         injector's fire-time RNG draw maps to the same victim for the
-        same history, keeping peer-churn campaigns deterministic.
+        same history, keeping peer-churn campaigns deterministic. Reads
+        the per-node active counts, in ``_leases`` node order.
         """
-        return [
-            node
-            for node, per_node in self._leases.items()
-            if any(lease.active for lease in per_node.values())
-        ]
+        active = self._node_active
+        return [node for node in self._leases if node in active]
 
     @property
     def n_active_leases(self) -> int:
-        """Count of active leases across all nodes."""
-        return sum(
-            1
-            for per_node in self._leases.values()
-            for lease in per_node.values()
-            if lease.active
-        )
+        """Count of active leases across all nodes (kept at admit, drain
+        and close; no scan)."""
+        return self._n_active
 
     def _sync_gauges(self) -> None:
-        self._g_leases.set(self.n_active_leases)
-        self._g_nodes.set(len(self.peer_nodes()))
+        self._g_leases.set(self._n_active)
+        self._g_nodes.set(len(self._node_active))

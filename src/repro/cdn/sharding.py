@@ -761,7 +761,7 @@ class ShardedAllocationRouter:
         """
         shard = self.shards[site]
         t0 = perf_counter()
-        candidates = shard.resolve_candidates(segment_id, requester)
+        candidates = shard.resolve_candidates(segment_id, requester, limit=1)
         if not candidates:
             shard._m_resolve_failed.inc()
             self.obs.trace(

@@ -656,7 +656,10 @@ def cmd_perf(args) -> int:
     bit AND the measured speedup clears ``--min-speedup`` — the speed
     gate only arms when the machine actually has ``--workers`` usable
     cores, so single-core runners check correctness without flaking on
-    physics (``--quick`` stays ungated for exactly that reason).
+    physics (``--quick`` stays ungated for exactly that reason). A
+    failing run exits 1 with one ``FAIL: <gate> (<observed>); ...`` line
+    on stderr naming ``resolve_identical``, ``shards_identical``,
+    ``campaign_identical`` or ``speedup``.
 
     ``--shards N [N ...]`` additionally runs the sharded-allocation
     bench at each given shard count (unsharded vs routed vs
@@ -692,14 +695,12 @@ def cmd_perf(args) -> int:
         print(line)
 
     shard_results = []
-    shards_ok = True
     for n in args.shards or ():
         sb = shard_throughput(far_clusters=scale, requests=requests, n_shards=n)
         print()
         for line in sb.lines():
             print(line)
         shard_results.append(sb)
-        shards_ok = shards_ok and sb.identical
 
     campaign = None
     speedup_ok = True
@@ -734,21 +735,17 @@ def cmd_perf(args) -> int:
     ):
         return 2
 
-    ok = (
-        resolve.identical
-        and shards_ok
-        and (campaign is None or campaign.identical)
-        and speedup_ok
-    )
-    if not ok:
-        print(
-            f"FAIL: resolve_identical={resolve.identical} "
-            f"shards_identical={shards_ok if shard_results else 'n/a'} "
-            f"campaign_identical={campaign.identical if campaign else 'n/a'} "
-            f"speedup_ok={speedup_ok}",
-            file=sys.stderr,
-        )
-    return 0 if ok else 1
+    gates = [Gate("resolve_identical", resolve.identical, resolve.identical)]
+    if shard_results:
+        diverged = [sb.n_shards for sb in shard_results if not sb.identical]
+        gates.append(Gate("shards_identical", not diverged, diverged))
+    if campaign is not None:
+        gates += [
+            Gate("campaign_identical", campaign.identical, campaign.identical),
+            Gate("speedup", speedup_ok,
+                 f"{campaign.speedup:.2f}x, need >= {args.min_speedup:.2f}x"),
+        ]
+    return _gate_status(gates)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,9 @@ crowd requester; ties (and every failure) go back to the repository.
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.errors import ConfigurationError
@@ -211,6 +214,24 @@ class TestLeaseLifecycle:
         assert not net.peers.has_active_lease(NodeId("c-3"), seg)
         assert counter(net, "peer.lease.expired") == 1
 
+    def test_finalizing_replaced_lease_keeps_replacement(self):
+        net = build_net(peer_lease_ttl_s=10.0)
+        seg = seg_ids(net)[0]
+        c3 = NodeId("c-3")
+        net.clients[AuthorId("c-3")].access_segment(seg)
+        first = net.peers.lease_of(c3, seg)
+        serve = net.peers.begin_serve(c3, seg)
+        net.engine.run(until=11.0)  # the pinned lease drains
+        second = net.peers.offer(c3, net.server.catalog.segment(seg))
+        assert second is not None and second is not first
+        net.peers.end_serve(serve, ok=True)  # finalizes the drained lease
+        assert first.state == "closed" and second.active
+        assert net.peers.lease_of(c3, seg) is second
+        assert net.peers.has_active_lease(c3, seg)
+        assert net.peers.candidates(seg, requester_node=NodeId("c-2")) == [second]
+        assert net.peers.n_active_leases == 1
+        assert net.obs.gauges()["peer.active_leases"].value == 1
+
     def test_cache_eviction_retracts_lease(self):
         net = build_net()
         segs = seg_ids(net)
@@ -298,3 +319,165 @@ class TestRegistryValidation:
     def test_enable_peer_tier_idempotent(self):
         net = build_net()
         assert net.enable_peer_tier() is net.peers
+
+
+#: every member node of :func:`build_net` (node ids equal author ids)
+NODES = [NodeId(a) for a in ("o-1", "o-2", "relay", "c-1", "c-2", "c-3")]
+STEP_KINDS = ("offer", "begin", "end", "advance", "evict", "leave", "crash")
+STEP_WEIGHTS = (8, 5, 4, 4, 1, 1, 0.3)
+
+
+def scan_candidates(net, seg, requester):
+    """Discovery by brute force: every lease in ``_leases`` that passes
+    the documented filter (no partition is ever active here)."""
+    peers, fabric = net.peers, net.server.fabric
+    out = set()
+    for node, per_node in peers._leases.items():
+        lease = per_node.get(seg)
+        if (
+            lease is None
+            or not lease.active
+            or node == requester
+            or lease.in_flight >= peers.max_concurrent_serves
+            or fabric.author_of_node.get(node) not in fabric.graph
+            or node in fabric.offline
+            or (fabric.liveness is not None and not fabric.liveness(node))
+        ):
+            continue
+        out.add(lease)
+    return out
+
+
+def assert_bookkeeping_matches_scan(net, segs):
+    peers = net.peers
+    active = [
+        lease
+        for per_node in peers._leases.values()
+        for lease in per_node.values()
+        if lease.active
+    ]
+    nodes = [
+        node
+        for node, per_node in peers._leases.items()
+        if any(lease.active for lease in per_node.values())
+    ]
+    gauges = net.obs.gauges()
+    assert peers.n_active_leases == len(active)
+    assert gauges["peer.active_leases"].value == len(active)
+    assert peers.peer_nodes() == nodes
+    assert gauges["peer.active_nodes"].value == len(nodes)
+    for seg in segs:
+        for requester in NODES:
+            found = peers.candidates(seg, requester_node=requester)
+            assert set(found) == scan_candidates(net, seg, requester)
+
+
+def run_steps(net, injector, steps):
+    """Apply registry operations one by one, checking after each that
+    the registry's counts and index equal a full scan."""
+    segs = seg_ids(net)
+    serves = []
+    for kind, node, seg_i, pick in steps:
+        seg = segs[seg_i]
+        if kind == "offer":
+            net.peers.offer(node, net.server.catalog.segment(seg))
+        elif kind == "begin":
+            serve = net.peers.begin_serve(node, seg)
+            if serve is not None:
+                serves.append(serve)
+        elif kind == "end" and serves:
+            net.peers.end_serve(serves.pop(pick % len(serves)), ok=pick % 5 != 0)
+        elif kind == "advance":
+            net.engine.run(until=net.engine.now + (1.0, 4.0, 11.0)[pick % 3])
+        elif kind == "evict":
+            net.peers.evict(node, seg)
+        elif kind == "leave":
+            net.peers.leave(node)
+        elif kind == "crash":
+            injector.crash(node, at=net.engine.now + 0.5)
+            net.engine.run(until=net.engine.now + 1.0)
+        assert_bookkeeping_matches_scan(net, segs)
+
+
+class TestBookkeepingEqualsScan:
+    #: the drained-lease replacement sequence of
+    #: test_finalizing_replaced_lease_keeps_replacement, as steps
+    REPLACEMENT = [
+        ("offer", NodeId("c-3"), 0, 0),
+        ("begin", NodeId("c-3"), 0, 0),
+        ("advance", None, 0, 2),
+        ("offer", NodeId("c-3"), 0, 0),
+        ("end", None, 0, 1),
+        ("offer", NodeId("c-2"), 0, 0),
+    ]
+
+    @pytest.mark.parametrize("cache_segments", [1, 2])
+    def test_random_interleavings(self, cache_segments):
+        for seed in range(60):
+            rng = random.Random(seed)
+            net = build_net(
+                peer_lease_ttl_s=10.0,
+                peer_cache_segments=cache_segments,
+                peer_max_concurrent_serves=2,
+            )
+            injector = net.failure_injector(seed=0)
+            steps = list(self.REPLACEMENT) + [
+                (
+                    rng.choices(STEP_KINDS, weights=STEP_WEIGHTS)[0],
+                    rng.choice(NODES[2:]) if rng.random() < 0.8 else rng.choice(NODES),
+                    rng.randrange(2),
+                    rng.randrange(60),
+                )
+                for _ in range(60)
+            ]
+            run_steps(net, injector, steps)
+
+
+def oracle_ranking(net, seg, requester):
+    """Both tiers sorted by brute force on ``(hops, tier, load, node id)``
+    with hops from networkx (every author is connected, and no failure,
+    partition or pinned serve is active)."""
+    server = net.server
+    hops = nx.single_source_shortest_path_length(server.graph.nx, requester)
+    reps = server.catalog.replicas_of_segment(seg, servable_only=True)
+    hosts = {r.node_id for r in reps} | {server.node_of(requester)}
+    keyed = [
+        (hops[server.author_of(r.node_id)], 0,
+         server.repository(r.node_id).reads_served, str(r.node_id), r)
+        for r in reps
+    ] + [
+        (hops[server.author_of(lease.node_id)], 1,
+         lease.serves, str(lease.node_id), lease.replica)
+        for per_node in net.peers._leases.values()
+        for lease in per_node.values()
+        if lease.active and lease.segment_id == seg and lease.node_id not in hosts
+    ]
+    keyed.sort(key=lambda entry: entry[:4])
+    return [(r.replica_id, d, tier == 1) for d, tier, _load, _node, r in keyed]
+
+
+class TestOneRanking:
+    def test_every_limit_agrees_with_full_ranking_and_oracle(self):
+        net = build_net(peer_cache_segments=2)
+        segs = seg_ids(net)
+        # fetches mint leases and move loads on both tiers; the direct
+        # offers give one segment peers at equal hops and equal serves
+        for author, s in (("c-1", 0), ("c-2", 0), ("c-3", 1), ("relay", 0)):
+            assert net.clients[AuthorId(author)].access_segment(segs[s]).ok
+        for node in ("c-1", "c-2"):
+            net.peers.offer(NodeId(node), net.server.catalog.segment(segs[1]))
+        server = net.server
+        pairs = [(seg, AuthorId(str(n))) for seg in segs for n in NODES]
+        heads = []
+        for seg, requester in pairs:
+            full = server.resolve_candidates(seg, requester)
+            for k in (1, 2):
+                assert server.resolve_candidates(seg, requester, limit=k) == full[:k]
+            assert server.resolve(seg, requester, record=False) == full[0]
+            assert [
+                (c.replica.replica_id, c.social_hops, c.peer) for c in full
+            ] == oracle_ranking(net, seg, requester)
+            heads.append(full[0])
+        assert server.resolve_many(pairs, record=False) == heads
+        # both tiers ranked, and a peer won at least one head
+        assert any(h.peer for h in heads) and not all(h.peer for h in heads)

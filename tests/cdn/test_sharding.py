@@ -12,6 +12,8 @@ sequence.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import networkx as nx
 import pytest
 
@@ -434,6 +436,27 @@ class TestDegradedResolve:
         assert res.degraded
         assert res.replica.node_id in {node(c) for c in "abc"}
         assert degraded_count(router) == 1
+
+    def test_degraded_resolve_is_owning_shard_head(self):
+        router, net, seg = self._published()
+        split_cliques(net)
+        shard = router.shards[router.syscat.site_of_author(AuthorId("x"))]
+        requesters = [AuthorId(a) for a in "abcxyz"]
+        heads = []
+        for requester in requesters:
+            full = router.resolve_candidates(seg, requester)
+            for k in (1, 2):
+                assert router.resolve_candidates(seg, requester, limit=k) == full[:k]
+            head = replace(
+                shard.resolve_candidates(seg, requester)[0],
+                degraded=requester in requesters[:3],
+            )
+            assert full[0] == head
+            assert router.resolve(seg, requester, record=False) == head
+            heads.append(head)
+        pairs = [(seg, r) for r in requesters]
+        assert router.resolve_many(pairs, record=False) == heads
+        assert degraded_count(router) == 6
 
     def test_same_side_as_owner_stays_authoritative(self):
         router, net, seg = self._published()

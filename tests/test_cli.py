@@ -311,3 +311,24 @@ class TestMigrateCommand:
         rc = main(["migrate", "--json", "/no/such/dir/migrate.json"])
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err
+
+
+class TestPerfCommand:
+    def test_resolve_divergence_fails_through_gate_printer(self, monkeypatch, capsys):
+        import repro.perf
+        from repro.perf import ResolveBenchResult
+
+        diverged = ResolveBenchResult(
+            far_clusters=1,
+            graph_nodes=1,
+            requests=1,
+            reference_rps=1.0,
+            indexed_rps=1.0,
+            batched_rps=1.0,
+            identical=False,
+        )
+        monkeypatch.setattr(repro.perf, "resolve_throughput", lambda **_: diverged)
+        assert main(["perf", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "differential check: DIVERGED" in captured.out
+        assert captured.err == "FAIL: resolve_identical (False)\n"
