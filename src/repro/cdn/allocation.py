@@ -96,9 +96,10 @@ class AllocationFabric:
 
     Containers (``repos``, ``node_of_author``, ``offline``, ...) are
     mutated in place and never rebound, so servers may hold direct
-    aliases. ``graph``, ``hops``, ``liveness``, and
+    aliases. ``graph``, ``hops``, ``liveness``, ``demand`` and
     ``hop_evictions_seen`` are rebound on events (graph swaps, oracle
-    installs) and must be read through the fabric.
+    installs, a migration engine's construction) and must be read through
+    the fabric.
     """
 
     def __init__(
@@ -124,6 +125,10 @@ class AllocationFabric:
         #: across shards exactly like ``liveness``: one fabric, one peer
         #: population.
         self.peer_registry: Optional[object] = None
+        #: demand tracker every successful :meth:`AllocationServer.resolve`
+        #: feeds; set by the :class:`~repro.cdn.migration.MigrationEngine`
+        #: built over this fabric, ``None`` until then
+        self.demand: Optional[DemandTracker] = None
         self.rng = make_rng(seed)
         self.hop_cache_sources = hop_cache_sources
         self.hops = HopIndex(graph, max_sources=hop_cache_sources)
@@ -238,13 +243,6 @@ class AllocationServer:
         )
         self._g_hop_index_size = obs.gauge(
             "alloc.hop_index.size", help="hop rows currently cached by the index"
-        )
-        self._m_resolve_batches = obs.counter(
-            "alloc.resolve.batches", help="resolve_many() batches processed"
-        )
-        self._m_batch_latency = obs.histogram(
-            "alloc.resolve.batch_latency_s",
-            help="wall-clock duration of a resolve_many() batch",
         )
         self._m_chosen_load = obs.gauge(
             "alloc.resolve.chosen_node_load",
@@ -993,6 +991,14 @@ class AllocationServer:
         way: latency, hop distance, hop-cache hit/miss, chosen-node load,
         and a ``resolve`` trace event.
 
+        Every successful resolve, ``record=False`` included, counts one
+        access of ``(segment_id, requester)`` on the fabric's demand
+        tracker (:attr:`AllocationFabric.demand`, installed by a
+        :class:`~repro.cdn.migration.MigrationEngine`); a failed resolve
+        counts none. The client always passes ``record=False``, so this
+        feed — not the read recorded on a replica — is what the migration
+        planner's rates are built from.
+
         Raises
         ------
         CatalogError
@@ -1013,6 +1019,9 @@ class AllocationServer:
                 self.fabric.peer_registry.record_direct_serve(best.replica)
             else:
                 self.record_served(best.replica)
+        demand = self.fabric.demand
+        if demand is not None:
+            demand.record_access(segment_id, requester)
         d = best.social_hops
 
         elapsed = perf_counter() - t0
@@ -1033,95 +1042,6 @@ class AllocationServer:
             latency_s=elapsed,
         )
         return best
-
-    def resolve_many(
-        self,
-        requests: List[Tuple[SegmentId, AuthorId]],
-        *,
-        record: bool = True,
-        demand: Optional[DemandTracker] = None,
-    ) -> List[Optional[ResolvedReplica]]:
-        """Resolve a batch of ``(segment_id, requester)`` requests at once.
-
-        Returns one entry per request, in order: the same
-        :class:`ResolvedReplica` that :meth:`resolve` would have chosen,
-        or ``None`` where :meth:`resolve` would have raised
-        :class:`~repro.errors.CatalogError` (a batch never aborts halfway
-        on one unresolvable segment).
-
-        The batch amortizes the per-call overhead of the single-request
-        path. Hop distances come from the holder-keyed rows every resolve
-        reads, so a row built for one request serves every later request
-        for a segment on that holder, whoever the requester. Per-request
-        outcome counters (``alloc.resolve.total`` / ``failed`` /
-        ``unreachable``, hop histogram, hop-cache hit/miss) move exactly
-        as ``len(requests)`` sequential :meth:`resolve` calls would, but
-        latency is measured once per batch
-        (``alloc.resolve.batch_latency_s``, plus the
-        ``alloc.resolve.batches`` counter and one ``resolve_batch`` trace
-        event) instead of per request — no per-request ``resolve`` traces,
-        no per-request ``perf_counter`` pairs.
-
-        Failures are traced in aggregate: where single :meth:`resolve`
-        emits one ``resolve_failed`` event per miss, a batch with any
-        unresolvable request emits one ``resolve_batch_failed`` event
-        carrying the failure count and a bounded sample of the failed
-        segment ids (first 8), and the ``resolve_batch`` trace carries a
-        ``failed`` field — so trace-ring consumers never miss batch
-        failures, without per-request event volume.
-
-        When ``record=True`` (default), each served request is recorded on
-        its chosen replica exactly like :meth:`resolve`. Passing a
-        ``demand`` tracker additionally feeds all served accesses to
-        :meth:`~repro.cdn.demand.DemandTracker.record_many` in one ingest
-        — the batched alternative to trace-ring ingestion (which cannot
-        see batches, since no per-request trace events are emitted).
-        """
-        t0 = perf_counter()
-        out: List[Optional[ResolvedReplica]] = []
-        served: List[Tuple[SegmentId, Optional[AuthorId]]] = []
-        failed: List[SegmentId] = []
-        for segment_id, requester in requests:
-            candidates = self.resolve_candidates(segment_id, requester, limit=1)
-            if not candidates:
-                self._m_resolve_failed.inc()
-                failed.append(segment_id)
-                out.append(None)
-                continue
-            best = candidates[0]
-            load = self._repos[best.replica.node_id].reads_served
-            if record:
-                if best.peer:
-                    self.fabric.peer_registry.record_direct_serve(best.replica)
-                else:
-                    self.record_served(best.replica)
-            self._m_resolve_total.inc()
-            self._m_chosen_load.set(load)
-            if best.social_hops is not None:
-                self._m_resolve_hops.observe(best.social_hops)
-            else:
-                self._m_resolve_unreachable.inc()
-            served.append((segment_id, requester))
-            out.append(best)
-        if demand is not None and served:
-            demand.record_many(served)
-        elapsed = perf_counter() - t0
-        self._m_resolve_batches.inc()
-        self._m_batch_latency.observe(elapsed)
-        if failed:
-            self.obs.trace(
-                "resolve_batch_failed",
-                failed=len(failed),
-                segments=[str(s) for s in failed[:8]],
-            )
-        self.obs.trace(
-            "resolve_batch",
-            requests=len(requests),
-            served=len(served),
-            failed=len(failed),
-            latency_s=elapsed,
-        )
-        return out
 
     # ------------------------------------------------------------------
     # integrity

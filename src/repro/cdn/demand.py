@@ -3,18 +3,21 @@
 The paper's allocation servers adjust replication "based on demand" (Section
 V-B); arXiv:0909.2024 shows that a *rate* estimate — not a raw counter —
 is what makes demand-reactive replication stable under churn. The
-:class:`DemandTracker` turns the access/resolve statistics the system
-already emits (``resolve`` trace events from
-:meth:`~repro.cdn.allocation.AllocationServer.resolve`, or direct
-:meth:`record_access` calls) into exponentially weighted moving-average
-request rates per segment, plus a per-requester weight vector per segment
-so the planner can place new replicas *near* the demand, not just scale it.
+:class:`DemandTracker` turns accesses into exponentially weighted
+moving-average request rates per segment, plus a per-requester weight
+vector per segment so the planner can place new replicas *near* the
+demand, not just scale it.
+
+Accesses arrive through :meth:`DemandTracker.record_access`. A
+:class:`~repro.cdn.migration.MigrationEngine` installs its tracker on the
+allocation fabric, and every successful
+:meth:`~repro.cdn.allocation.AllocationServer.resolve` then records one
+access directly — a lossless feed, independent of the trace ring (which
+keeps its ``resolve`` events for diagnostics only).
 
 Determinism: the tracker itself draws no randomness — folds are pure
 arithmetic on virtual time, so a seeded workload produces bit-identical
-rates. Ingestion from the trace ring is ordered by event sequence number;
-events lost to ring overwrite between ingests are counted on
-``demand.trace_gap`` (an undercount signal, never an error).
+rates.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ class DemandTracker:
         self._requesters: Dict[SegmentId, Dict[AuthorId, float]] = {}
         #: accesses observed since the last fold
         self._pending: Dict[SegmentId, Dict[Optional[AuthorId], int]] = {}
-        self._last_seq = -1  # trace sequence high-water mark for ingest()
 
         self.obs = registry if registry is not None else get_registry()
         self._m_accesses = self.obs.counter(
@@ -69,10 +71,6 @@ class DemandTracker:
         )
         self._m_folds = self.obs.counter(
             "demand.folds", help="EWMA fold passes executed"
-        )
-        self._m_trace_gap = self.obs.counter(
-            "demand.trace_gap",
-            help="resolve events lost to trace-ring overwrite between ingests",
         )
         self._g_tracked = self.obs.gauge(
             "demand.tracked_segments", help="segments with a nonzero demand rate"
@@ -93,65 +91,6 @@ class DemandTracker:
             raise ConfigurationError(f"count must be >= 1, got {count}")
         per_req = self._pending.setdefault(segment_id, {})
         per_req[requester] = per_req.get(requester, 0) + count
-
-    def record_many(
-        self,
-        accesses: "List[Tuple[SegmentId, Optional[AuthorId]]]",
-    ) -> int:
-        """Register a batch of ``(segment_id, requester)`` accesses at once.
-
-        The batched counterpart of :meth:`record_access` — one dict
-        traversal per access, no per-call validation overhead — used by
-        :meth:`~repro.cdn.allocation.AllocationServer.resolve_many` to
-        feed a whole resolution batch in a single ingest. Returns the
-        number of accesses recorded.
-        """
-        pending = self._pending
-        for segment_id, requester in accesses:
-            per_req = pending.setdefault(segment_id, {})
-            per_req[requester] = per_req.get(requester, 0) + 1
-        return len(accesses)
-
-    def ingest(self, registry: Registry) -> int:
-        """Fold new ``resolve`` trace events from ``registry`` into pending
-        counts. Returns the number of events ingested.
-
-        Only events with a sequence number above the last ingested one are
-        consumed, so repeated calls against the same ring never double-
-        count. The ring is bounded: events overwritten between ingests are
-        gone (counted on ``demand.trace_gap``) — demand rates are a
-        heuristic signal and tolerate the undercount.
-        """
-        ingested = 0
-        max_seen = self._last_seq
-        oldest_retained: Optional[int] = None
-        for ev in registry.traces.events():
-            if oldest_retained is None:
-                oldest_retained = ev.seq
-            if ev.seq <= self._last_seq:
-                continue
-            max_seen = max(max_seen, ev.seq)
-            if ev.kind != "resolve":
-                continue
-            segment = ev.fields.get("segment")
-            if segment is None:
-                continue
-            requester = ev.fields.get("requester")
-            self.record_access(
-                SegmentId(segment),
-                AuthorId(requester) if requester is not None else None,
-            )
-            ingested += 1
-        # a gap means the ring overwrote events we never saw: the oldest
-        # retained seq jumped past our high-water mark
-        if (
-            self._last_seq >= 0
-            and oldest_retained is not None
-            and oldest_retained > self._last_seq + 1
-        ):
-            self._m_trace_gap.inc(oldest_retained - self._last_seq - 1)
-        self._last_seq = max_seen
-        return ingested
 
     # ------------------------------------------------------------------
     # folding

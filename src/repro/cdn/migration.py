@@ -890,9 +890,13 @@ class MigrationExecutor:
 class MigrationEngine:
     """The wired subsystem: demand tracker + planner + executor.
 
+    The engine owns its :class:`~repro.cdn.demand.DemandTracker` and
+    installs it on the server's allocation fabric (shared by every shard
+    of a sharded router), so each successful resolve records its access
+    there directly; one fabric feeds one tracker, the latest engine's.
     Drive it manually with :meth:`run_cycle` or periodically via
-    :meth:`attach`. One cycle = ingest resolve traces into the demand
-    tracker, fold the EWMA rates, plan, execute under the throttle.
+    :meth:`attach`. One cycle = fold the EWMA rates, plan, execute under
+    the throttle.
     """
 
     def __init__(
@@ -900,7 +904,6 @@ class MigrationEngine:
         server: AllocationServer,
         transfer: TransferClient,
         *,
-        demand: Optional[DemandTracker] = None,
         config: Optional[MigrationConfig] = None,
         seed: SeedLike = None,
         registry: Optional[Registry] = None,
@@ -908,7 +911,8 @@ class MigrationEngine:
         self.server = server
         self.config = config or MigrationConfig()
         self.obs = registry if registry is not None else get_registry()
-        self.demand = demand if demand is not None else DemandTracker(registry=self.obs)
+        self.demand = DemandTracker(registry=self.obs)
+        server.fabric.demand = self.demand
         self.executor = MigrationExecutor(
             server, transfer, config=self.config, registry=self.obs
         )
@@ -927,7 +931,6 @@ class MigrationEngine:
 
     def run_cycle(self, *, at: float = 0.0) -> MigrationReport:
         """One full cycle; returns its report (also kept on ``reports``)."""
-        self.demand.ingest(self.obs)
         self.demand.fold(at)
         actions = self.planner.plan(at=at)
         counts = self.executor.execute(actions, at=at)

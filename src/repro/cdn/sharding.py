@@ -33,10 +33,7 @@ same pattern as :func:`~repro.cdn.allocation.resolve_candidates_reference`),
 and :class:`~repro.sim.campaign.CampaignExecutor` campaigns produce
 bit-identical reports with sharding on or off at any shard count.
 
-Documented divergences at N > 1 (none observable by chaos reports):
-``alloc.resolve.batches`` counts one batch per *site touched* instead of
-one per call; :meth:`resolve_many` rejects unknown segments at routing
-time (before processing the batch) instead of mid-batch; and
+Documented divergence at N > 1 (not observable by chaos reports):
 ``publish_dataset_partitioned``'s internal post-publish repair is scoped
 to the owning site.
 """
@@ -59,7 +56,6 @@ from .allocation import (
 )
 from .catalog import ReplicaCatalog, ReplicaIdAllocator
 from .content import Dataset, DataSegment, Replica, ReplicaState
-from .demand import DemandTracker
 from .hopindex import HopIndex
 from .partitioning import PartitionAssignment
 from .placement.base import PlacementAlgorithm
@@ -757,7 +753,9 @@ class ShardedAllocationRouter:
         replicas the requester's side can reach; bookkeeping mirrors the
         single-server :meth:`AllocationServer.resolve` plus the
         ``alloc.resolve.degraded`` counter and a ``resolve_degraded``
-        trace, and the returned replica is flagged ``degraded=True``.
+        trace, and the returned replica is flagged ``degraded=True``. It
+        does not count on the fabric's demand tracker: degraded reads have
+        never been demand (DESIGN.md section 9).
         """
         shard = self.shards[site]
         t0 = perf_counter()
@@ -817,53 +815,6 @@ class ShardedAllocationRouter:
                 site, segment_id, requester, record=record
             )
         return self.shards[site].resolve(segment_id, requester, record=record)
-
-    def resolve_many(
-        self,
-        requests: List[Tuple[SegmentId, AuthorId]],
-        *,
-        record: bool = True,
-        demand: Optional[DemandTracker] = None,
-    ) -> List[Optional[ResolvedReplica]]:
-        """Resolve a batch, grouped by owning site.
-
-        Request indices are grouped per site preserving intra-site order,
-        each site's sub-batch runs on its shard, and results reassemble
-        into positional output. With one shard this is exactly the
-        single-server batch. Unknown segments raise
-        :class:`~repro.errors.CatalogError` at grouping time — stricter
-        than the unsharded server, which raises mid-batch when it reaches
-        the unknown request (documented divergence). At N > 1 the
-        ``alloc.resolve.batches`` counter moves once per site touched.
-        """
-        by_site: Dict[int, List[int]] = {}
-        for i, (segment_id, _requester) in enumerate(requests):
-            by_site.setdefault(self._site_of_segment(segment_id), []).append(i)
-        out: List[Optional[ResolvedReplica]] = [None] * len(requests)
-        for site in sorted(by_site):
-            idx = by_site[site]
-            # degraded requests (owning site unreachable from *this*
-            # requester) peel off into the per-request fallback; the rest
-            # keep the batched fast path (the common case: no partition)
-            batched: List[int] = []
-            for i in idx:
-                segment_id, requester = requests[i]
-                if self._degraded_site(site, requester):
-                    try:
-                        out[i] = self._resolve_degraded(
-                            site, segment_id, requester, record=record
-                        )
-                    except CatalogError:
-                        out[i] = None
-                else:
-                    batched.append(i)
-            if not batched:
-                continue
-            sub = [requests[i] for i in batched]
-            res = self.shards[site].resolve_many(sub, record=record, demand=demand)
-            for i, r in zip(batched, res):
-                out[i] = r
-        return out
 
     def record_served(self, replica: Replica) -> None:
         """Record a read served by ``replica`` (shared repositories)."""
@@ -1024,14 +975,9 @@ class ShardedAllocationRouter:
         )
         return report
 
-    def hot_segments(self, threshold: int) -> List[Tuple[SegmentId, int]]:
-        """Hot segments across the federation, hottest first."""
-        totals: Dict[SegmentId, int] = {}
-        for rep in self.catalog.iter_replicas():
-            totals[rep.segment_id] = totals.get(rep.segment_id, 0) + rep.access_count
-        out = [(s, c) for s, c in totals.items() if c >= threshold]
-        out.sort(key=lambda t: (-t[1], t[0]))
-        return out
+    # one implementation: it reads only ``self.catalog``, which here is
+    # the federated view of every shard
+    hot_segments = AllocationServer.hot_segments
 
     def scale_hot(
         self, threshold: int, *, extra: int = 1, at: float = 0.0

@@ -647,10 +647,10 @@ def cmd_perf(args) -> int:
     """`repro perf`: resolve-throughput and campaign-speedup harness.
 
     Measures resolves-per-second on a scaled demand-shift scenario graph
-    (pre-index reference BFS vs. the HopIndex fast path vs. the
-    ``resolve_many`` batch API) and, unless ``--quick``, the wall-clock
-    speedup of a prewarmed :class:`~repro.sim.campaign.CampaignExecutor`
-    over the serial runner. Exit status is 0 only if the fast path's
+    (pre-index reference BFS vs. the HopIndex fast path) and, unless
+    ``--quick``, the wall-clock speedup of a prewarmed
+    :class:`~repro.sim.campaign.CampaignExecutor` over the serial
+    runner. Exit status is 0 only if the fast path's
     candidate rankings are byte-identical to the reference's AND (when
     campaigns ran) the parallel reports match the serial ones bit for
     bit AND the measured speedup clears ``--min-speedup`` — the speed
@@ -793,7 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=int, default=10,
                    help="trace events to show (0 = none)")
     p.add_argument("--trace-capacity", type=int, default=2048,
-                   help="trace ring buffer capacity")
+                   help="trace ring buffer capacity (diagnostics only: "
+                        "no decision reads the ring)")
     p.add_argument("--bars", action="store_true",
                    help="ASCII bucket charts per histogram")
     p.set_defaults(func=cmd_obs)

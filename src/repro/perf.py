@@ -1,8 +1,8 @@
 """Throughput harness for the fast-path work: resolve RPS and campaign speedup.
 
 Two measurements back the performance claims of the hop-index /
-batched-resolution / parallel-campaign work, shared by the ``repro perf``
-CLI and ``benchmarks/test_bench_resolve.py`` (which persists them to
+parallel-campaign work, shared by the ``repro perf`` CLI and
+``benchmarks/test_bench_resolve.py`` (which persists them to
 ``BENCH_resolve.json``):
 
 * :func:`resolve_throughput` — resolves-per-second on a scaled
@@ -10,8 +10,8 @@ CLI and ``benchmarks/test_bench_resolve.py`` (which persists them to
   comparing the retained pre-index reference implementation
   (:func:`repro.cdn.allocation.resolve_candidates_reference`, fresh BFS
   per call) against the :class:`~repro.cdn.hopindex.HopIndex`-backed
-  ``resolve_candidates`` and the ``resolve_many`` batch API — and
-  differentially checking that all three rank candidates identically.
+  ``resolve_candidates`` — and differentially checking that both rank
+  candidates identically.
 * :func:`campaign_speedup` — wall-clock of a chaos seed grid run serially
   vs. over a prewarmed :class:`repro.sim.campaign.CampaignExecutor`, with
   the bit-identical-reports contract checked on the same run. Pool
@@ -55,8 +55,8 @@ class ResolveBenchResult:
 
     ``identical`` is the differential guarantee: over every distinct
     ``(segment, requester)`` pair of the workload, the indexed fast path
-    and the batch API ranked candidates exactly like the pre-index
-    reference (same replica ids, same hop annotations, same order).
+    ranked candidates exactly like the pre-index reference (same replica
+    ids, same hop annotations, same order).
     """
 
     far_clusters: int
@@ -64,18 +64,12 @@ class ResolveBenchResult:
     requests: int
     reference_rps: float
     indexed_rps: float
-    batched_rps: float
     identical: bool
 
     @property
     def indexed_speedup(self) -> float:
         """Indexed single-request throughput over the reference's."""
         return self.indexed_rps / self.reference_rps if self.reference_rps else 0.0
-
-    @property
-    def batched_speedup(self) -> float:
-        """Batch-API throughput over the reference's."""
-        return self.batched_rps / self.reference_rps if self.reference_rps else 0.0
 
     def lines(self) -> List[str]:
         """Human-readable summary, one finding per line."""
@@ -85,8 +79,6 @@ class ResolveBenchResult:
             f"reference (per-call BFS): {self.reference_rps:,.0f} rps",
             f"indexed (HopIndex):       {self.indexed_rps:,.0f} rps "
             f"({self.indexed_speedup:.1f}x)",
-            f"batched (resolve_many):   {self.batched_rps:,.0f} rps "
-            f"({self.batched_speedup:.1f}x)",
             f"differential check: {'identical' if self.identical else 'DIVERGED'}",
         ]
 
@@ -344,11 +336,11 @@ def resolve_throughput(
     requests: int = 5000,
     seed: int = 7,
 ) -> ResolveBenchResult:
-    """Measure reference vs. indexed vs. batched resolve throughput.
+    """Measure reference vs. indexed resolve throughput.
 
-    All three modes replay the same request list against one deployment.
-    Every mode is a pure query (nothing records reads), so no mode
-    perturbs the state the next one measures; the indexed mode starts
+    Both modes replay the same request list against one deployment.
+    Each mode is a pure query (nothing records reads), so neither
+    perturbs the state the other measures; the indexed mode starts
     with a cold hop index and pays its misses inside the measurement,
     which is the honest amortized number. The differential check then
     replays every distinct ``(segment, requester)`` pair, comparing full
@@ -375,10 +367,6 @@ def resolve_throughput(
         server.resolve_candidates(seg, req)
     idx_s = max(perf_counter() - t0, 1e-9)
 
-    t0 = perf_counter()
-    server.resolve_many(workload, record=False)
-    batch_s = max(perf_counter() - t0, 1e-9)
-
     identical = True
     for seg, req in sorted(set(workload), key=lambda t: (str(t[0]), str(t[1]))):
         fast = server.resolve_candidates(seg, req)
@@ -395,7 +383,6 @@ def resolve_throughput(
         requests=requests,
         reference_rps=requests / ref_s,
         indexed_rps=requests / idx_s,
-        batched_rps=requests / batch_s,
         identical=identical,
     )
 
@@ -569,9 +556,7 @@ def bench_to_dict(
             "requests": resolve.requests,
             "reference_rps": resolve.reference_rps,
             "indexed_rps": resolve.indexed_rps,
-            "batched_rps": resolve.batched_rps,
             "indexed_speedup": resolve.indexed_speedup,
-            "batched_speedup": resolve.batched_speedup,
             "identical": resolve.identical,
         }
     }

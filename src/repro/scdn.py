@@ -544,10 +544,11 @@ class SCDN:
         seed: SeedLike = None,
     ) -> "MigrationEngine":
         """A :class:`~repro.cdn.migration.MigrationEngine` over this
-        deployment: its demand tracker ingests the shared registry's
-        ``resolve`` traces, its planner reads the allocation server's
-        catalog/trust/load state, and its executor moves replicas through
-        the verified transfer client copy-first/retire-after. Call
+        deployment: its demand tracker is installed on the allocation
+        fabric, so every successful resolve of this deployment records
+        its access there directly; its planner reads the allocation
+        server's catalog/trust/load state, and its executor moves replicas
+        through the verified transfer client copy-first/retire-after. Call
         :meth:`MigrationEngine.attach` with :attr:`engine` for periodic
         cycles, or drive :meth:`MigrationEngine.run_cycle` directly.
         """

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.ids import AuthorId, SegmentId
-from repro.obs import Registry
+from repro.errors import CatalogError, ConfigurationError
+from repro.ids import AuthorId, DatasetId, SegmentId
+from repro.obs import Registry, set_registry
+from repro.scdn import SCDN
+from repro.cdn.content import segment_dataset
 from repro.cdn.demand import DemandTracker
+from repro.cdn.migration import MigrationEngine
+from repro.cdn.transfer import TransferClient
+
+from ..conftest import pub
+from .test_allocation_bugfixes import graph_of, make_server
+from .test_migration import AUTHORS, Rig, clique_graph
+from .test_sharding import make_router, partition_rig, split_cliques
 
 S1 = SegmentId("seg-1")
 S2 = SegmentId("seg-2")
@@ -107,26 +116,69 @@ class TestQueries:
         assert t.top_requesters(S1, n=1) == top[:1]
 
 
-class TestIngest:
-    def test_ingest_consumes_resolve_traces_once(self):
-        reg = Registry()
-        t = DemandTracker(registry=reg)
-        reg.trace("resolve", ts=1.0, segment=str(S1), requester=str(ALICE))
-        reg.trace("resolve", ts=2.0, segment=str(S1), requester=str(BOB))
-        reg.trace("other", ts=3.0, segment=str(S1))
-        assert t.ingest(reg) == 2
-        assert t.ingest(reg) == 0  # same ring, no double-count
-        t.fold(10.0)
-        assert t.rate(S1) > 0.0
-        assert {a for a, _ in t.top_requesters(S1)} == {ALICE, BOB}
+class TestResolveFeed:
+    """Every successful ``AllocationServer.resolve`` records its access on
+    the tracker the migration engine installed on the fabric; the trace
+    ring is never read back."""
 
-    def test_ingest_counts_ring_overwrite_gap(self):
-        reg = Registry(trace_capacity=4)
-        t = DemandTracker(registry=reg)
-        reg.trace("resolve", ts=0.0, segment=str(S1))
-        t.ingest(reg)
-        for i in range(8):  # overwrite the whole ring twice
-            reg.trace("resolve", ts=float(i), segment=str(S1))
-        t.ingest(reg)
-        snap = reg.snapshot()
-        assert snap["counters"]["demand.trace_gap"]["value"] > 0
+    def test_no_engine_leaves_the_slot_empty(self):
+        g = graph_of(pub("p1", 2009, "a", "b"))
+        server = make_server(g, ["a", "b"])
+        assert server.fabric.demand is None
+        assert make_router(g, ["a", "b"]).fabric.demand is None
+        ds = segment_dataset(DatasetId("d"), AuthorId("a"), 100)
+        server.publish_dataset(ds, n_replicas=1)
+        assert server.resolve(ds.segments[0].segment_id, AuthorId("b")) is not None
+
+    def test_record_false_counts(self):
+        rig = Rig()
+        assert rig.server.fabric.demand is rig.engine.demand
+        requester = AuthorId(str(rig.non_holder()))
+        rig.server.resolve(rig.seg, requester)
+        rig.server.resolve(rig.seg, requester, record=False)
+        assert rig.engine.demand.fold(10.0) == 2
+        assert [a for a, _ in rig.engine.demand.top_requesters(rig.seg)] == [requester]
+
+    def test_failed_resolve_does_not_count(self):
+        rig = Rig()
+        for node in rig.hosts:
+            rig.server.node_offline(node, at=1.0)
+        with pytest.raises(CatalogError):
+            rig.server.resolve(rig.seg, AuthorId("alice"), record=False)
+        assert rig.engine.demand.fold(10.0) == 0
+
+    def test_degraded_router_resolve_does_not_count(self):
+        router, net = partition_rig()
+        ds = segment_dataset(DatasetId("shared"), AuthorId("x"), 100)
+        router.publish_dataset(ds, n_replicas=6)
+        seg = ds.segments[0].segment_id
+        reg = router.obs
+        engine = MigrationEngine(
+            router, TransferClient(net, failure_prob=0.0, seed=1, registry=reg),
+            registry=reg,
+        )
+        # one fabric: a single assignment reaches every shard
+        assert all(shard.fabric.demand is engine.demand for shard in router.shards)
+        split_cliques(net)
+        assert router.resolve(seg, AuthorId("a"), record=False).degraded
+        assert not router.resolve(seg, AuthorId("y"), record=False).degraded
+        assert engine.demand.fold(10.0) == 1
+        assert [a for a, _ in engine.demand.top_requesters(seg)] == [AuthorId("y")]
+
+    def test_deployments_on_the_process_wide_registry_are_isolated(self):
+        previous = set_registry(Registry())
+        try:
+            nets = [SCDN(clique_graph(), seed=1) for _ in range(2)]
+            for net in nets:
+                for a in AUTHORS:
+                    net.join(AuthorId(a))
+                net.publish(AuthorId("alice"), "ds", 1000, n_replicas=1)
+            engines = [net.migration_engine() for net in nets]
+            for a in AUTHORS:  # reads on the first deployment only
+                assert all(o.ok for o in nets[0].access(AuthorId(a), "ds"))
+            for engine in engines:
+                engine.run_cycle(at=3.0)
+        finally:
+            set_registry(previous)
+        assert engines[0].demand.rate(SegmentId("ds:seg0")) > 0.0
+        assert engines[1].demand.tracked_segments == 0

@@ -478,6 +478,5 @@ class TestOneRanking:
                 (c.replica.replica_id, c.social_hops, c.peer) for c in full
             ] == oracle_ranking(net, seg, requester)
             heads.append(full[0])
-        assert server.resolve_many(pairs, record=False) == heads
         # both tiers ranked, and a peer won at least one head
         assert any(h.peer for h in heads) and not all(h.peer for h in heads)

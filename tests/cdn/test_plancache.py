@@ -97,10 +97,10 @@ class TestDifferentialPlanned:
         )
         s2, _, _ = warmed_deployment(**build)
         workload = _request_workload(segments, authors, 150)
-        sequential = [s1.resolve(seg, req) for seg, req in workload]
-        batched = s2.resolve_many(workload)
-        assert [(r.replica.replica_id, r.social_hops) for r in sequential] == [
-            (r.replica.replica_id, r.social_hops) for r in batched
+        cold = [s1.resolve(seg, req) for seg, req in workload]
+        warm = [s2.resolve(seg, req) for seg, req in workload]
+        assert [(r.replica.replica_id, r.social_hops) for r in cold] == [
+            (r.replica.replica_id, r.social_hops) for r in warm
         ]
 
 

@@ -4,23 +4,19 @@ The tentpole contract: swapping the per-call BFS for the CSR
 :class:`~repro.cdn.hopindex.HopIndex` must not change a single resolution.
 ``resolve_candidates`` is checked byte-for-byte against the retained
 pre-index reference implementation
-(:func:`repro.cdn.allocation.resolve_candidates_reference`), and
-``resolve_many`` is checked against sequential ``resolve`` calls on a twin
-deployment — same choices, same counters, same recorded demand. Mutation
-sequences keep the ranking on the reference while catalog, membership,
-liveness and graph state change under it.
+(:func:`repro.cdn.allocation.resolve_candidates_reference`), on the
+scenario deployment at two scales (one is the ``repro perf --quick``
+workload). Mutation sequences keep the ranking on the reference while
+catalog, membership, liveness and graph state change under it.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.ids import AuthorId, DatasetId, NodeId
 from repro.obs import Registry
 from repro.perf import _request_workload, build_resolve_deployment
 from repro.cdn.allocation import resolve_candidates_reference
 from repro.cdn.content import segment_dataset
-from repro.cdn.demand import DemandTracker
 from repro.cdn.storage import StorageRepository
 
 from .test_allocation_bugfixes import graph_of, make_server
@@ -32,22 +28,22 @@ def ranking(candidates):
     return [(c.replica.replica_id, c.replica.node_id, c.social_hops) for c in candidates]
 
 
-def twin_deployments(**kwargs):
-    """Two deployments built identically (same seeds, same placement)."""
-    a = build_resolve_deployment(registry=Registry(), **kwargs)
-    b = build_resolve_deployment(registry=Registry(), **kwargs)
-    return a, b
+#: ``(far_clusters, datasets, requests)`` of the scenario deployments
+#: ranked against the reference; the second is the workload ``repro perf
+#: --quick`` replays (its defaults at the capped scale and request count)
+SCENARIO_WORKLOADS = [(4, 3, 200), (20, 6, 1000)]
 
 
 class TestDifferentialCandidates:
     def test_matches_reference_on_scenario_deployment(self):
-        server, segments, authors = build_resolve_deployment(
-            far_clusters=4, datasets=3, registry=Registry()
-        )
-        for seg, req in _request_workload(segments, authors, 200):
-            fast = server.resolve_candidates(seg, req)
-            ref = resolve_candidates_reference(server, seg, req)
-            assert ranking(fast) == ranking(ref)
+        for far_clusters, datasets, requests in SCENARIO_WORKLOADS:
+            server, segments, authors = build_resolve_deployment(
+                far_clusters=far_clusters, datasets=datasets, registry=Registry()
+            )
+            for seg, req in _request_workload(segments, authors, requests):
+                fast = server.resolve_candidates(seg, req)
+                ref = resolve_candidates_reference(server, seg, req)
+                assert ranking(fast) == ranking(ref), (far_clusters, seg, req)
 
     def test_matches_reference_after_load_skew(self):
         """The ranking must track mutable load identically in both paths."""
@@ -83,138 +79,6 @@ class TestDifferentialCandidates:
         assert ranking(head) == ranking(
             resolve_candidates_reference(server, segments[0], authors[0], limit=2)
         )
-
-
-class TestResolveManyEquivalence:
-    def test_same_choices_as_sequential_resolve(self):
-        (s1, segments, authors), (s2, _, _) = twin_deployments(far_clusters=3)
-        workload = _request_workload(segments, authors, 120)
-        sequential = [s1.resolve(seg, req) for seg, req in workload]
-        batched = s2.resolve_many(workload)
-        assert [(r.replica.replica_id, r.social_hops) for r in sequential] == [
-            (r.replica.replica_id, r.social_hops) for r in batched
-        ]
-
-    def test_same_counters_as_sequential_resolve(self):
-        (s1, segments, authors), (s2, _, _) = twin_deployments(far_clusters=3)
-        workload = _request_workload(segments, authors, 120)
-        for seg, req in workload:
-            s1.resolve(seg, req)
-        s2.resolve_many(workload)
-        for name in (
-            "alloc.resolve.total",
-            "alloc.resolve.failed",
-            "alloc.resolve.unreachable",
-            "alloc.hop_cache.hits",
-            "alloc.hop_cache.misses",
-        ):
-            assert (
-                s2.obs.counter(name).value == s1.obs.counter(name).value
-            ), name
-
-    def test_same_recorded_load_as_sequential_resolve(self):
-        (s1, segments, authors), (s2, _, _) = twin_deployments(far_clusters=3)
-        workload = _request_workload(segments, authors, 120)
-        for seg, req in workload:
-            s1.resolve(seg, req)
-        s2.resolve_many(workload)
-        for author in authors:
-            node = NodeId(f"node-{author}")
-            assert (
-                s2.repository(node).reads_served == s1.repository(node).reads_served
-            )
-
-    def test_record_false_leaves_no_load(self):
-        server, segments, authors = build_resolve_deployment(
-            far_clusters=2, registry=Registry()
-        )
-        workload = _request_workload(segments, authors, 40)
-        server.resolve_many(workload, record=False)
-        assert all(
-            server.repository(NodeId(f"node-{a}")).reads_served == 0 for a in authors
-        )
-
-    def test_none_for_unresolvable_segment(self):
-        g = graph_of(pub("p1", 2009, "a", "b"))
-        reg = Registry()
-        server = make_server(g, ["a", "b"], registry=reg)
-        ds = segment_dataset(DatasetId("d"), AuthorId("a"), 100)
-        server.publish_dataset(ds, n_replicas=2)
-        seg = ds.segments[0].segment_id
-        server.node_offline(NodeId("node-a"), at=1.0)
-        server.node_offline(NodeId("node-b"), at=1.0)
-        out = server.resolve_many([(seg, AuthorId("a")), (seg, AuthorId("b"))])
-        assert out == [None, None]
-        assert reg.counter("alloc.resolve.failed").value == 2
-        assert reg.counter("alloc.resolve.total").value == 0
-
-    def test_batch_counters_and_trace(self):
-        server, segments, authors = build_resolve_deployment(
-            far_clusters=2, registry=Registry()
-        )
-        workload = _request_workload(segments, authors, 30)
-        server.resolve_many(workload, record=False)
-        assert server.obs.counter("alloc.resolve.batches").value == 1
-        events = server.obs.traces.events(kind="resolve_batch")
-        assert len(events) == 1
-        assert events[0].fields["requests"] == 30
-        assert events[0].fields["served"] == 30
-        # no per-request resolve traces from the batch path
-        assert server.obs.traces.events(kind="resolve") == []
-
-    def test_batch_failure_trace_aggregates_misses(self):
-        """A batch with unresolvable requests must emit one aggregate
-        ``resolve_batch_failed`` event (the batch path never emits the
-        per-request ``resolve_failed`` traces single resolve does)."""
-        g = graph_of(pub("p1", 2009, "a", "b"))
-        reg = Registry()
-        server = make_server(g, ["a", "b"], registry=reg)
-        ds = segment_dataset(DatasetId("d"), AuthorId("a"), 100)
-        server.publish_dataset(ds, n_replicas=2)
-        seg = ds.segments[0].segment_id
-        server.node_offline(NodeId("node-a"), at=1.0)
-        server.node_offline(NodeId("node-b"), at=1.0)
-        out = server.resolve_many([(seg, AuthorId("a")), (seg, AuthorId("b"))])
-        assert out == [None, None]
-        failures = server.obs.traces.events(kind="resolve_batch_failed")
-        assert len(failures) == 1
-        assert failures[0].fields["failed"] == 2
-        assert failures[0].fields["segments"] == [str(seg), str(seg)]
-        batch = server.obs.traces.events(kind="resolve_batch")
-        assert batch[0].fields["failed"] == 2
-        assert batch[0].fields["served"] == 0
-        # failure counter parity with the sequential path
-        assert reg.counter("alloc.resolve.failed").value == 2
-        assert server.obs.traces.events(kind="resolve_failed") == []
-
-    def test_no_failure_trace_when_all_served(self):
-        server, segments, authors = build_resolve_deployment(
-            far_clusters=2, registry=Registry()
-        )
-        server.resolve_many(_request_workload(segments, authors, 12), record=False)
-        assert server.obs.traces.events(kind="resolve_batch_failed") == []
-        batch = server.obs.traces.events(kind="resolve_batch")
-        assert batch[0].fields["failed"] == 0
-
-    def test_demand_tracker_fed_in_one_ingest(self):
-        (s1, segments, authors), (s2, _, _) = twin_deployments(far_clusters=2)
-        workload = _request_workload(segments, authors, 60)
-        t1, t2 = DemandTracker(), DemandTracker()
-        for seg, req in workload:
-            s1.resolve(seg, req)
-            t1.record_access(seg, req)
-        s2.resolve_many(workload, demand=t2)
-        t1.fold(at=10.0)
-        t2.fold(at=10.0)
-        assert t1.tracked_segments == t2.tracked_segments
-        for seg in segments:
-            assert t2.rate(seg) == pytest.approx(t1.rate(seg))
-            assert t2.top_requesters(seg) == t1.top_requesters(seg)
-
-    def test_empty_batch(self):
-        server, _, _ = build_resolve_deployment(far_clusters=2, registry=Registry())
-        assert server.resolve_many([]) == []
-        assert server.obs.counter("alloc.resolve.batches").value == 1
 
 
 class TestEvictionAccounting:

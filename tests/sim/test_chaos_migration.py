@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from repro.cdn.demand import DemandTracker
 from repro.errors import ConfigurationError
 from repro.obs import Registry
-from repro.scdn import SCDN
+from repro.scdn import SCDN, SCDNConfig
 from repro.sim.chaos import ChaosConfig, run_chaos_campaign
+from repro.sim.scenarios import scenario_graph
 from repro.social.graph import build_coauthorship_graph
 from repro.social.records import Corpus
 
@@ -94,3 +97,81 @@ class TestCampaign:
         a = run_chaos_campaign(fresh_net(), cfg, seed=13)
         b = run_chaos_campaign(fresh_net(), cfg, seed=13)
         assert a == b
+
+
+MIGRATING = dataclasses.replace(
+    SMALL,
+    migration_enabled=True,
+    migration_interval_s=120.0,
+    migration_hot_rate_per_s=1e-4,
+)
+
+#: a busier campaign for the feed-parity check: 15 members whose small
+#: caches keep resolving, and (at 4 shards) partitions that degrade some
+#: resolves
+FEED = ChaosConfig(
+    horizon_s=1800.0,
+    members=15,
+    datasets=3,
+    segments_per_dataset=2,
+    dataset_size_bytes=100_000,
+    n_replicas=2,
+    member_capacity_bytes=150_000,
+    outage_rate_per_node_s=3e-4,
+    outage_mean_duration_s=120.0,
+    audit_interval_s=120.0,
+    migration_enabled=True,
+    migration_interval_s=120.0,
+    migration_hot_rate_per_s=1e-4,
+)
+
+
+class TestDemandFeed:
+    """Migration demand comes from resolves directly, so the trace ring's
+    capacity (a diagnostics setting) decides nothing."""
+
+    def test_ring_capacity_changes_no_report(self):
+        reports = [
+            run_chaos_campaign(
+                SCDN(community_graph(), seed=1, registry=Registry(trace_capacity=cap)),
+                MIGRATING,
+                seed=7,
+            )
+            for cap in (4, 10**6)
+        ]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert reports[0].migration_moves >= 1
+
+    @pytest.mark.parametrize("shards, partition_rate", [(1, 0.0), (4, 1e-2)])
+    def test_feed_counts_equal_ring_resolve_events(
+        self, monkeypatch, shards, partition_rate
+    ):
+        """The direct feed carries exactly what replaying the ring's
+        ``resolve`` events did: one access per successful authoritative
+        resolve, none for ``resolve_degraded``."""
+        fed = Counter()
+        record_access = DemandTracker.record_access
+
+        def counting(self, segment_id, requester=None, *, count=1):
+            fed[(str(segment_id), str(requester))] += count
+            record_access(self, segment_id, requester, count=count)
+
+        monkeypatch.setattr(DemandTracker, "record_access", counting)
+        registry = Registry(trace_capacity=10**6)
+        net = SCDN(
+            scenario_graph(far_clusters=6),
+            config=SCDNConfig(shards=shards),
+            seed=1,
+            registry=registry,
+        )
+        config = dataclasses.replace(FEED, partition_rate_s=partition_rate)
+        report = run_chaos_campaign(net, config, seed=7)
+        ring = Counter(
+            (ev.fields["segment"], ev.fields["requester"])
+            for ev in registry.traces.events(kind="resolve")
+        )
+        assert fed == ring
+        assert sum(fed.values()) > 100
+        assert report.migration_moves >= 1
+        degraded = registry.traces.events(kind="resolve_degraded")
+        assert bool(degraded) == (partition_rate > 0)

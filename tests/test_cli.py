@@ -324,7 +324,6 @@ class TestPerfCommand:
             requests=1,
             reference_rps=1.0,
             indexed_rps=1.0,
-            batched_rps=1.0,
             identical=False,
         )
         monkeypatch.setattr(repro.perf, "resolve_throughput", lambda **_: diverged)
