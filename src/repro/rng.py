@@ -54,6 +54,12 @@ def choice_without_replacement(
     arbitrary Python sequences (numpy's ``choice`` would coerce tuples of
     heterogeneous objects into object arrays with surprising shapes) and
     normalizes weights.
+
+    A weighted single pick (``k == 1``) skips ``Generator.choice`` and its
+    per-call validation and ``np.unique``: it draws one ``rng.random()``
+    and inverts the normalized cumulative weights, which is the draw and
+    the arithmetic ``choice(n, 1, replace=False, p=p)`` performs. It
+    returns the same item and leaves ``rng`` at the same stream position.
     """
     n = len(items)
     if k > n:
@@ -70,7 +76,13 @@ def choice_without_replacement(
         total = w.sum()
         if total <= 0:
             raise ValueError("weights must not sum to zero")
+        if not np.isfinite(total):
+            raise ValueError("weights must be finite")
         p = w / total
+        if k == 1:
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            return [items[int(cdf.searchsorted(rng.random(), side="right"))]]
     idx = rng.choice(n, size=k, replace=False, p=p)
     return [items[int(i)] for i in idx]
 

@@ -235,6 +235,7 @@ class DBLPStyleCorpusGenerator:
         self._rng = make_rng(seed)
         self._groups: List[List[AuthorId]] = []
         self._consortium: List[AuthorId] = []
+        self._consortium_blocks: List[List[AuthorId]] = []
         self._group_of: Dict[AuthorId, int] = {}
         self._productivity: Dict[AuthorId, float] = {}
         self._group_graph: Optional[nx.Graph] = None
@@ -251,6 +252,11 @@ class DBLPStyleCorpusGenerator:
         cfg = self.config
         rng = self._rng
         self._consortium = [AuthorId(f"c-{k}") for k in range(cfg.n_consortium)]
+        size = cfg.consortium_block_size
+        self._consortium_blocks = [
+            self._consortium[i : i + size]
+            for i in range(0, len(self._consortium), size)
+        ]
         # Group collaboration topology: connected small-world ring (built
         # first so ego-centric activity decay can use it).
         k = min(cfg.group_ring_k, cfg.n_groups - 1)
@@ -351,20 +357,20 @@ class DBLPStyleCorpusGenerator:
             picked.add(choice_without_replacement(rng, candidates, 1, weights=weights)[0])
         return picked
 
-    def _consortium_blocks(self) -> List[List[AuthorId]]:
-        size = self.config.consortium_block_size
-        return [
-            self._consortium[i : i + size]
-            for i in range(0, len(self._consortium), size)
-        ]
-
     def _pick_large_authors(self, lead: AuthorId, n_total: int) -> Set[AuthorId]:
         """Author list of a large collaboration: lead + nearby groups + consortium.
 
         Consortium slots come mostly from the block mapped to the lead's
         group (``group_index % n_blocks``), so repeated large papers from
         the same neighborhood overlap heavily — the source of the dense
-        weight>=2 consortium clusters.
+        weight>=2 consortium clusters. A slot escapes to the whole pool with
+        probability ``p_block_escape``, and falls back to it once the block
+        runs dry.
+
+        Each slot draws from the unpicked rest of the pool and of the
+        block, kept in pool order and shrunk by one pick at a time, rather
+        than rebuilding a filtered pool per slot. The draws, and so the
+        author lists, are those the per-slot filter gives.
         """
         cfg = self.config
         rng = self._rng
@@ -374,21 +380,24 @@ class DBLPStyleCorpusGenerator:
         authors: Set[AuthorId] = {lead}
         authors |= self._pick_group_coauthors(lead, n_group)
         if n_consortium:
-            blocks = self._consortium_blocks()
-            block = blocks[self._group_of[lead] % len(blocks)] if blocks else []
+            blocks = self._consortium_blocks
+            # both stay in pool order, so rng.integers(len(...)) indexes
+            # the member the per-slot filter would have picked
+            pool = list(self._consortium)
+            block = list(blocks[self._group_of[lead] % len(blocks)])
             picked: Set[AuthorId] = set()
             for _ in range(n_consortium):
-                pool = (
-                    self._consortium
-                    if (not block or rng.random() < cfg.p_block_escape)
-                    else block
-                )
-                candidates = [c for c in pool if c not in picked]
-                if not candidates:
-                    candidates = [c for c in self._consortium if c not in picked]
-                    if not candidates:
-                        break
-                picked.add(candidates[int(rng.integers(len(candidates)))])
+                # the escape is drawn on every slot, since the lead's block
+                # starts non-empty (n_consortium > 0 needs a non-empty
+                # pool); `not block` falls back once the block runs dry
+                if rng.random() < cfg.p_block_escape or not block:
+                    pick = pool.pop(int(rng.integers(len(pool))))
+                    if pick in block:
+                        block.remove(pick)
+                else:
+                    pick = block.pop(int(rng.integers(len(block))))
+                    pool.remove(pick)
+                picked.add(pick)
             authors |= picked
         # Group pools can run dry (small groups); top up from the consortium
         # so the requested author count is honored whenever possible.

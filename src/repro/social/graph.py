@@ -10,7 +10,6 @@ needs, while exposing the raw graph for algorithms that want it.
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
-from weakref import WeakKeyDictionary
 
 import networkx as nx
 import numpy as np
@@ -339,26 +338,3 @@ def build_coauthorship_graph(
     if seed is not None and seed not in g:
         raise GraphError(f"seed author {seed!r} does not appear in the corpus")
     return CoauthorshipGraph(g, seed=seed)
-
-
-# One base graph per corpus object. Corpora are immutable after construction
-# (derived corpora are new objects), so the cached graph never goes stale; the
-# weak key lets a discarded corpus release its graph.
-_SHARED_GRAPH_CACHE: "WeakKeyDictionary[Corpus, CoauthorshipGraph]" = WeakKeyDictionary()
-
-
-def shared_coauthorship_graph(corpus: Corpus) -> CoauthorshipGraph:
-    """Memoized :func:`build_coauthorship_graph` keyed by corpus identity.
-
-    Every trust heuristic's first step is building the full (unpruned,
-    ``min_weight=1``) coauthorship graph of its input corpus; running the
-    paper's three heuristics over the same ego corpus used to pay for that
-    build three times. This returns one shared, **immutable** graph per
-    corpus object — callers that mutate must ``.nx.copy()`` first (the
-    pruning heuristics already do).
-    """
-    cached = _SHARED_GRAPH_CACHE.get(corpus)
-    if cached is None:
-        cached = build_coauthorship_graph(corpus)
-        _SHARED_GRAPH_CACHE[corpus] = cached
-    return cached

@@ -34,7 +34,7 @@ import networkx as nx
 
 from ..errors import ConfigurationError
 from ..ids import AuthorId
-from .graph import CoauthorshipGraph, ordered_induced_view, shared_coauthorship_graph
+from .graph import CoauthorshipGraph, build_coauthorship_graph, ordered_induced_view
 from .records import Corpus
 
 
@@ -120,12 +120,10 @@ class TrustHeuristic(ABC):
             Ego seed; always retained in the pruned graph if present.
         graph:
             Optional prebuilt full (``min_weight=1``) coauthorship graph
-            of ``corpus``, shared across heuristics to skip the rebuild.
-            When omitted, heuristics fetch one from
-            :func:`repro.social.graph.shared_coauthorship_graph`, which
-            memoizes by corpus identity — so running the paper's three
-            heuristics over the same corpus object builds the base graph
-            once either way. The graph is never mutated (pruning copies).
+            of ``corpus``. Only :class:`BaselineTrust` reuses it; the
+            other heuristics build just the edges they keep, which costs
+            less than filtering the full graph. The graph is never
+            mutated: the result is an independent copy.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -144,8 +142,8 @@ class BaselineTrust(TrustHeuristic):
         seed: Optional[AuthorId] = None,
         graph: Optional[CoauthorshipGraph] = None,
     ) -> TrustedSubgraph:
-        g = graph if graph is not None else shared_coauthorship_graph(corpus)
-        return _finalize(self.name, g.nx.copy(), corpus, seed)
+        g = graph if graph is not None else build_coauthorship_graph(corpus)
+        return _finalize(self.name, g.nx, corpus, seed)
 
 
 class MinCoauthorshipTrust(TrustHeuristic):
@@ -155,6 +153,16 @@ class MinCoauthorshipTrust(TrustHeuristic):
     every edge is pruned drop out; the survivors may form disconnected
     islands — the paper notes these "serve to identify communities of
     trusted researchers".
+
+    The pruning builds only the edges it keeps (``min_weight=min_count``)
+    and ignores a prebuilt ``graph``: on a corpus with large
+    collaborations most pairs are weak, and building, copying and
+    removing them cost more than counting them. The result is the graph
+    that removing the weak edges from the full one gives, adjacency order
+    included: :func:`_finalize`'s copy lists each node's earlier
+    neighbours in node order and its later ones in the order their edges
+    were first built, and building only the strong edges keeps that
+    order.
     """
 
     def __init__(self, min_count: int = 2) -> None:
@@ -170,11 +178,8 @@ class MinCoauthorshipTrust(TrustHeuristic):
         seed: Optional[AuthorId] = None,
         graph: Optional[CoauthorshipGraph] = None,
     ) -> TrustedSubgraph:
-        base = graph if graph is not None else shared_coauthorship_graph(corpus)
-        g = base.nx.copy()
-        weak = [(a, b) for a, b, w in g.edges(data="weight", default=1) if w < self.min_count]
-        g.remove_edges_from(weak)
-        return _finalize(self.name, g, corpus, seed)
+        g = build_coauthorship_graph(corpus, min_weight=self.min_count)
+        return _finalize(self.name, g.nx, corpus, seed)
 
 
 class MaxAuthorsTrust(TrustHeuristic):
@@ -205,10 +210,10 @@ class MaxAuthorsTrust(TrustHeuristic):
         # of the unfiltered corpus cannot be reused: edges must be recounted
         # over the surviving publications. ``graph`` is accepted for
         # interface uniformity but the build always runs on the filtered
-        # corpus (memoized by its identity like any other).
+        # corpus.
         filtered = corpus.filter_max_authors(self.max_authors)
-        g = shared_coauthorship_graph(filtered).nx.copy()
-        return _finalize(self.name, g, filtered, seed)
+        g = build_coauthorship_graph(filtered)
+        return _finalize(self.name, g.nx, filtered, seed)
 
 
 class CompositeTrust(TrustHeuristic):

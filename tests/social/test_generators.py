@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Sequence, Set
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.ids import AuthorId
+from repro.rng import choice_without_replacement
 from repro.social.generators import (
     CorpusConfig,
     DBLPStyleCorpusGenerator,
@@ -98,3 +104,97 @@ class TestGeneration:
     def test_generate_corpus_wrapper(self):
         corpus, seed = generate_corpus(SMALL, seed=9)
         assert seed in corpus.author_ids
+
+
+class LoopReferenceGenerator(DBLPStyleCorpusGenerator):
+    """The per-slot draw loops the generator's fast paths must reproduce.
+
+    Every slot filters the picked authors out of its pool anew, and a
+    weighted pick goes through ``Generator.choice(..., p=...)``.
+    """
+
+    def _pick_group_coauthors(self, lead: AuthorId, n_extra: int) -> Set[AuthorId]:
+        cfg = self.config
+        rng = self._rng
+        gi = self._group_of[lead]
+        own = [a for a in self._groups[gi] if a != lead]
+        neighbors = self._neighbor_groups(gi)
+        picked: Set[AuthorId] = set()
+        for _ in range(n_extra):
+            pool: Sequence[AuthorId]
+            if neighbors and rng.random() < cfg.p_external:
+                ng = int(rng.choice(neighbors))
+                pool = self._groups[ng]
+            else:
+                pool = own
+            candidates = [a for a in pool if a not in picked]
+            if not candidates:
+                continue
+            w = np.array(
+                [self._productivity[a] for a in candidates]
+            ) ** cfg.coauthor_weight_power
+            idx = rng.choice(len(candidates), size=1, replace=False, p=w / w.sum())
+            picked.add(candidates[int(idx[0])])
+        return picked
+
+    def _pick_large_authors(self, lead: AuthorId, n_total: int) -> Set[AuthorId]:
+        cfg = self.config
+        rng = self._rng
+        n_consortium = int(round((n_total - 1) * cfg.consortium_fraction))
+        n_consortium = min(n_consortium, len(self._consortium))
+        n_group = n_total - 1 - n_consortium
+        authors: Set[AuthorId] = {lead}
+        authors |= self._pick_group_coauthors(lead, n_group)
+        if n_consortium:
+            size = cfg.consortium_block_size
+            blocks = [
+                self._consortium[i : i + size]
+                for i in range(0, len(self._consortium), size)
+            ]
+            block = blocks[self._group_of[lead] % len(blocks)] if blocks else []
+            picked: Set[AuthorId] = set()
+            for _ in range(n_consortium):
+                pool = (
+                    self._consortium
+                    if (not block or rng.random() < cfg.p_block_escape)
+                    else block
+                )
+                candidates = [c for c in pool if c not in picked]
+                if not candidates:
+                    candidates = [c for c in self._consortium if c not in picked]
+                    if not candidates:
+                        break
+                picked.add(candidates[int(rng.integers(len(candidates)))])
+            authors |= picked
+        if len(authors) < n_total:
+            spare = [c for c in self._consortium if c not in authors]
+            need = min(n_total - len(authors), len(spare))
+            if need:
+                authors.update(choice_without_replacement(rng, spare, need))
+        return authors
+
+
+def _rows(corpus):
+    return [(p.pub_id, p.year, sorted(p.authors), p.venue, p.title) for p in corpus]
+
+
+@pytest.mark.parametrize(
+    "block_size,n_consortium,p_escape,n_mega",
+    list(itertools.product([1, 3], [0, 4], [0.0, 0.5, 1.0], [0, 3])),
+)
+def test_draws_match_loop_reference(block_size, n_consortium, p_escape, n_mega):
+    """Block sizes of 1 and 3 run the lead's block dry and fall back to the
+    whole pool; an empty consortium skips the consortium draws."""
+    cfg = CorpusConfig(
+        n_groups=6,
+        n_consortium=n_consortium,
+        consortium_block_size=block_size,
+        p_block_escape=p_escape,
+        n_mega_papers=n_mega,
+        mega_paper_size=12,
+        large_pubs_per_year=15.0,
+    )
+    fast = DBLPStyleCorpusGenerator(cfg, seed=3)
+    ref = LoopReferenceGenerator(cfg, seed=3)
+    assert _rows(fast.generate()) == _rows(ref.generate())
+    assert fast._rng.bit_generator.state == ref._rng.bit_generator.state

@@ -135,41 +135,28 @@ class TestPaperHeuristics:
 
 
 class TestSharedGraphMemo:
-    """The base-graph memoization behind the trust heuristics.
+    """One prebuilt base graph passed to every heuristic through ``graph=``.
 
-    All heuristics fetch their full coauthorship graph through
-    :func:`repro.social.graph.shared_coauthorship_graph`, memoized by
-    corpus identity — so Table I's three prunings over one ego corpus
-    build the base graph once, and pruning results are unchanged whether
-    the graph is shared, passed in prebuilt, or rebuilt fresh.
+    Pruning results are unchanged whether the graph is passed in or built
+    by the heuristic, and the passed graph is never mutated: the
+    heuristics prune into fresh copies.
     """
 
-    def test_same_corpus_object_shares_graph(self, tiny_corpus):
-        from repro.social.graph import shared_coauthorship_graph
-
-        assert shared_coauthorship_graph(tiny_corpus) is shared_coauthorship_graph(
-            tiny_corpus
-        )
-
-    def test_equal_but_distinct_corpus_builds_fresh(self, synthetic):
-        from repro.social.ego import ego_corpus
-        from repro.social.graph import shared_coauthorship_graph
-
-        corpus, seed = synthetic
-        e1 = ego_corpus(corpus, seed, hops=2)
-        e2 = ego_corpus(corpus, seed, hops=2)
-        assert e1 is not e2
-        assert shared_coauthorship_graph(e1) is not shared_coauthorship_graph(e2)
-
     def test_heuristics_do_not_mutate_shared_graph(self, tiny_corpus):
-        from repro.social.graph import shared_coauthorship_graph
+        from repro.social.graph import build_coauthorship_graph
 
-        shared = shared_coauthorship_graph(tiny_corpus)
-        n_edges_before = shared.n_edges
-        MinCoauthorshipTrust(2).prune(tiny_corpus)
-        BaselineTrust().prune(tiny_corpus)
-        assert shared_coauthorship_graph(tiny_corpus) is shared
-        assert shared.n_edges == n_edges_before
+        shared = build_coauthorship_graph(tiny_corpus)
+        g = shared.nx
+
+        def snapshot():
+            return [(a, [(b, dict(d)) for b, d in g.adj[a].items()]) for a in g]
+
+        before = snapshot()
+        for heuristic in paper_trust_heuristics():
+            # the result is an independent graph: clearing it leaves the
+            # caller's graph alone
+            heuristic.prune(tiny_corpus, graph=shared).graph.nx.clear()
+        assert snapshot() == before
 
     def test_prebuilt_graph_gives_identical_pruning(self, synthetic):
         from repro.social.graph import build_coauthorship_graph

@@ -72,6 +72,29 @@ class TestChoice:
         with pytest.raises(ValueError):
             choice_without_replacement(make_rng(0), [1, 2], 1, weights=np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [[1.0, np.nan], [1.0, np.inf], [1e308, 1e308]])
+    def test_non_finite_weights_rejected(self, k, bad):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            choice_without_replacement(make_rng(0), [1, 2], k, weights=np.array(bad))
+
+    def test_weighted_single_pick_matches_generator_choice(self):
+        """The k=1 weighted path returns what ``Generator.choice`` returns
+        and leaves the stream where it leaves it."""
+        meta = make_rng(2024)
+        for _ in range(1000):
+            n = int(meta.integers(1, 61))
+            w = 10.0 ** meta.uniform(-12, 6, size=n)
+            w[meta.random(n) < 0.1] = 0.0
+            if not w.any():
+                w[int(meta.integers(n))] = 1.0
+            seed = int(meta.integers(2**32))
+            ours, ref = make_rng(seed), make_rng(seed)
+            got = choice_without_replacement(ours, list(range(n)), 1, weights=w)
+            want = ref.choice(n, 1, replace=False, p=w / w.sum())
+            assert got == [int(want[0])]
+            assert ours.random() == ref.random()
+
     def test_preserves_item_identity(self):
         items = [("tuple", 1), ("tuple", 2)]
         out = choice_without_replacement(make_rng(0), items, 2)
