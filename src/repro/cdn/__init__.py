@@ -69,7 +69,6 @@ from .overlay import (
 )
 from .consistency import ReplicaVersionTracker, UpdatePropagator, WriteRecord
 from .p2p import GossipIndex, LookupResult, index_from_server
-from .server_group import AllocationServerGroup, CatalogSnapshot
 from .integrity import IntegrityScrubber, ScrubReport
 from .demand import DemandTracker
 from .migration import (
@@ -138,8 +137,6 @@ __all__ = [
     "GossipIndex",
     "LookupResult",
     "index_from_server",
-    "AllocationServerGroup",
-    "CatalogSnapshot",
     "IntegrityScrubber",
     "ScrubReport",
     "DemandTracker",

@@ -32,7 +32,7 @@ from ..obs import Registry, get_registry, linear_buckets
 from ..rng import SeedLike, make_rng, spawn
 from ..social.ego import hop_distances
 from ..social.graph import CoauthorshipGraph
-from .catalog import ReplicaCatalog, ReplicaIdAllocator
+from .catalog import ReplicaCatalog
 from .content import Dataset, Replica, ReplicaState
 from .demand import DemandTracker
 from .hopindex import HopIndex
@@ -84,22 +84,21 @@ class ReconcileReport:
 
 
 class AllocationFabric:
-    """Shared membership/trust state for a federation of allocation servers.
+    """Membership/trust state of one Social Cloud.
 
     One fabric = one Social Cloud: the trusted graph, registered
     repositories, author<->node maps, offline set, liveness oracle, node
-    state logs, the hop index, and the placement RNG. A standalone
-    :class:`AllocationServer` builds a private fabric; the sharded router
-    (:mod:`repro.cdn.sharding`) builds one and hands it to every shard, so
-    membership events, liveness, and hop-distance caching behave exactly
-    as on a single server while the *replica catalog* is partitioned.
+    state logs, the hop index, and the placement RNG. Each
+    :class:`AllocationServer` builds one (the sharded router included:
+    it shards only the replica catalog), and the peer registry
+    (:class:`repro.cdn.peers.PeerRegistry`) shares it with that server.
 
     Containers (``repos``, ``node_of_author``, ``offline``, ...) are
-    mutated in place and never rebound, so servers may hold direct
-    aliases. ``graph``, ``hops``, ``liveness``, ``demand`` and
-    ``hop_evictions_seen`` are rebound on events (graph swaps, oracle
-    installs, a migration engine's construction) and must be read through
-    the fabric.
+    mutated in place and never rebound, so the server and the peer
+    registry may hold direct aliases. ``graph``, ``hops``, ``liveness``,
+    ``demand`` and ``hop_evictions_seen`` are rebound on events (graph
+    swaps, oracle installs, a migration engine's construction) and must
+    be read through the fabric.
     """
 
     def __init__(
@@ -121,9 +120,8 @@ class AllocationFabric:
         #: per-node (time, "online"|"offline") transitions, in record order
         self.state_log: Dict[NodeId, List[Tuple[float, str]]] = {}
         #: peer-tier registry (:class:`repro.cdn.peers.PeerRegistry`);
-        #: ``None`` keeps discovery on the repository tier alone. Shared
-        #: across shards exactly like ``liveness``: one fabric, one peer
-        #: population.
+        #: ``None`` keeps discovery on the repository tier alone: one
+        #: fabric, one peer population.
         self.peer_registry: Optional[object] = None
         #: demand tracker every successful :meth:`AllocationServer.resolve`
         #: feeds; set by the :class:`~repro.cdn.migration.MigrationEngine`
@@ -169,20 +167,13 @@ class AllocationServer:
         seed: SeedLike = None,
         registry: Optional[Registry] = None,
         hop_cache_sources: int = 1024,
-        fabric: Optional[AllocationFabric] = None,
-        id_allocator: Optional[ReplicaIdAllocator] = None,
     ) -> None:
-        if fabric is None:
-            fabric = AllocationFabric(
-                graph, seed=seed, hop_cache_sources=hop_cache_sources
-            )
-        # When a fabric is passed (shard mode), it wins over the graph /
-        # seed / hop_cache_sources arguments: the router owns those.
-        self.fabric = fabric
+        self.fabric = fabric = AllocationFabric(
+            graph, seed=seed, hop_cache_sources=hop_cache_sources
+        )
         self.placement = placement
         # Direct aliases into the fabric: these containers are mutated in
-        # place and never rebound, so every shard sharing the fabric sees
-        # one membership map (and standalone servers behave as before).
+        # place and never rebound.
         self._rng = fabric.rng
         self._repos = fabric.repos
         self._node_of_author = fabric.node_of_author
@@ -195,7 +186,7 @@ class AllocationServer:
         obs = self.obs
         # built after obs so the catalog's servable-cache counters land in
         # the same registry as the server's own instruments
-        self.catalog = ReplicaCatalog(id_allocator=id_allocator, registry=obs)
+        self.catalog = ReplicaCatalog(registry=obs)
         self._m_resolve_latency = obs.histogram(
             "alloc.resolve.latency_s", help="wall-clock duration of resolve()"
         )
@@ -473,11 +464,10 @@ class AllocationServer:
         Once set, :meth:`resolve_candidates` merges the registry's live,
         trust-admitted serving leases into the ranking — a peer beats a
         repository replica only when strictly socially closer (ties go to
-        the authoritative repository tier). Installed on the shared
-        fabric, so in a sharded deployment every shard (and the router's
-        degraded path excepted — see :mod:`repro.cdn.sharding`) sees one
-        peer population. Pass ``None`` to remove; with no registry the
-        resolve path is byte-identical to a peer-unaware server.
+        the authoritative repository tier). Installed on the fabric, so a
+        sharded deployment sees one peer population across every site.
+        Pass ``None`` to remove; with no registry the resolve path is
+        byte-identical to a peer-unaware server.
         """
         if peers is not None and not callable(getattr(peers, "candidates", None)):
             raise ConfigurationError(
@@ -999,6 +989,12 @@ class AllocationServer:
         feed — not the read recorded on a replica — is what the migration
         planner's rates are built from.
 
+        A ``degraded`` head (the sharded router flags candidates served
+        from a stale view across a partition) is counted on
+        ``alloc.resolve.degraded`` and traced as ``resolve_degraded``,
+        and it feeds no demand: degraded reads have never been demand
+        (DESIGN.md section 9).
+
         Raises
         ------
         CatalogError
@@ -1019,21 +1015,24 @@ class AllocationServer:
                 self.fabric.peer_registry.record_direct_serve(best.replica)
             else:
                 self.record_served(best.replica)
+        degraded = best.degraded
         demand = self.fabric.demand
-        if demand is not None:
+        if demand is not None and not degraded:
             demand.record_access(segment_id, requester)
         d = best.social_hops
 
         elapsed = perf_counter() - t0
         self._m_resolve_latency.observe(elapsed)
         self._m_resolve_total.inc()
+        if degraded:
+            self._m_resolve_degraded.inc()
         self._m_chosen_load.set(load)
         if d is not None:
             self._m_resolve_hops.observe(d)
         else:
             self._m_resolve_unreachable.inc()
         self.obs.trace(
-            "resolve",
+            "resolve_degraded" if degraded else "resolve",
             segment=str(segment_id),
             requester=str(requester),
             node=str(best.replica.node_id),
@@ -1199,11 +1198,11 @@ class AllocationServer:
         """Re-replicate one under-replicated segment.
 
         The per-segment body of :meth:`repair`, factored out so the
-        sharded router can drive a *federation-wide* repair in the same
-        global segment order — and therefore the same placement-RNG draw
-        sequence — as a single server, dispatching each segment to the
-        shard that owns it. Does not touch ``alloc.repair.replicas``;
-        the caller counts the grand total.
+        sharded router's partitioned repair walks the same global segment
+        order — and therefore the same placement-RNG draw sequence —
+        while confining each segment to its coordinator's side. Does not
+        touch ``alloc.repair.replicas``; the caller counts the grand
+        total.
 
         With ``origin`` given while the network is partitioned, both copy
         sources and placement targets are confined to nodes reachable

@@ -891,8 +891,8 @@ class MigrationEngine:
     """The wired subsystem: demand tracker + planner + executor.
 
     The engine owns its :class:`~repro.cdn.demand.DemandTracker` and
-    installs it on the server's allocation fabric (shared by every shard
-    of a sharded router), so each successful resolve records its access
+    installs it on the server's allocation fabric (a sharded router has
+    one, like any server), so each successful resolve records its access
     there directly; one fabric feeds one tracker, the latest engine's.
     Drive it manually with :meth:`run_cycle` or periodically via
     :meth:`attach`. One cycle = fold the EWMA rates, plan, execute under

@@ -190,7 +190,7 @@ class GossipIndex:
 
 
 def index_from_server(
-    server: "AllocationServer | ShardedAllocationRouter",
+    server: AllocationServer,
     *,
     gossip_rounds: int = 1,
     registry: Optional[Registry] = None,
@@ -198,17 +198,15 @@ def index_from_server(
     """Build a gossip index reflecting the current placements of an
     allocation tier (each replica's holder announces it).
 
-    Accepts a single :class:`~repro.cdn.allocation.AllocationServer` or a
-    :class:`~repro.cdn.sharding.ShardedAllocationRouter` — for the router
-    the index is built over the *federated* servable view (every shard's
-    catalog). Anything else raises :class:`ConfigurationError`.
+    Accepts any :class:`~repro.cdn.allocation.AllocationServer` — for
+    the sharded router the index is built over the *federated* servable
+    view (every shard's catalog). Anything else raises
+    :class:`ConfigurationError`.
     """
-    from .sharding import ShardedAllocationRouter
-
-    if not isinstance(server, (AllocationServer, ShardedAllocationRouter)):
+    if not isinstance(server, AllocationServer):
         raise ConfigurationError(
-            "index_from_server() needs an AllocationServer or a "
-            f"ShardedAllocationRouter, got {type(server).__name__}"
+            "index_from_server() needs an AllocationServer, "
+            f"got {type(server).__name__}"
         )
     index = GossipIndex(server.graph, gossip_rounds=gossip_rounds, registry=registry)
     for replica in server.catalog.iter_replicas():

@@ -168,8 +168,7 @@ class PeerRegistry:
         — the registry reads the trusted graph, the offline set, the
         liveness oracle, and the reachability oracle from it, so peer
         admission and candidate filtering always agree with the
-        allocation tier's view of membership (one fabric = one truth,
-        shared across shards exactly like liveness).
+        allocation tier's view of membership (one fabric = one truth).
     engine:
         The deployment's :class:`~repro.sim.engine.SimulationEngine`.
         Lease TTLs are engine-time; expiry is a scheduled event.

@@ -11,7 +11,7 @@ necessary or insufficient").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -19,11 +19,6 @@ from ..errors import ConfigurationError
 from ..obs import Registry, get_registry
 from ..sim.engine import SimulationEngine
 from .allocation import AllocationServer
-
-if TYPE_CHECKING:
-    from .sharding import ShardedAllocationRouter
-
-    AuditableServer = Union[AllocationServer, "ShardedAllocationRouter"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,10 +57,7 @@ class ReplicationPolicy:
     Parameters
     ----------
     server:
-        The allocation server to audit — a plain
-        :class:`~repro.cdn.allocation.AllocationServer` or a
-        :class:`~repro.cdn.sharding.ShardedAllocationRouter` (same
-        control-plane surface).
+        The allocation server to audit (the sharded router is one).
     audit_interval_s:
         Period of the audit when attached to an engine.
     hot_threshold:
@@ -78,7 +70,7 @@ class ReplicationPolicy:
 
     def __init__(
         self,
-        server: "AuditableServer",
+        server: AllocationServer,
         *,
         audit_interval_s: float = 3600.0,
         hot_threshold: Optional[int] = None,

@@ -1,15 +1,19 @@
-"""Federated allocation: N catalog shards behind one router.
+"""Federated allocation: one allocation server over N catalog shards.
 
-The paper's Allocation Server is a single centralized catalog — the wall
-between this reproduction and a millions-of-users deployment. This module
-partitions the *replica catalog* across N :class:`AllocationServer`
-shards keyed by the deterministic community partition of the trusted
-graph (Section V-D's social data partitioning as a shard key), while
-keeping the *membership fabric* — graph, repositories, liveness, hop
-index — shared through one :class:`~repro.cdn.allocation.AllocationFabric`.
-Cross-shard operations coordinate through the
-:class:`~repro.cdn.syscat.SystemCatalog` metadata instead of one shared
-catalog object.
+The paper's Allocation Server is a single centralized catalog. This
+module partitions its *replica catalog* across N plain
+:class:`~repro.cdn.catalog.ReplicaCatalog` shards, one per site, keyed by
+the deterministic community partition of the trusted graph (Section
+V-D's social data partitioning as a shard key).
+:class:`ShardedAllocationRouter` is an
+:class:`~repro.cdn.allocation.AllocationServer` whose ``catalog`` is a
+:class:`FederatedCatalog` over those shards, so membership, liveness,
+discovery, repair, migration and integrity run once, from the server's
+code. The router adds only what a partitioned control plane needs: site
+coordinators, degraded reads, and a hinted-handoff log for writes bound
+for a site the writer cannot reach. The
+:class:`~repro.cdn.syscat.SystemCatalog` records which site owns each
+dataset and segment.
 
 Equivalence contract
 --------------------
@@ -20,46 +24,34 @@ The router is a drop-in replacement for :class:`AllocationServer`:
   sequence is identical to an unsharded server's for the same operation
   order — and catalog-wide iteration orders are reconstructed exactly by
   sorting on the numeric id suffix (creation order).
-* All shards draw placement randomness from the shared fabric RNG, and
-  federation-wide repair walks the globally sorted under-replication
-  queue segment by segment, so the RNG draw sequence matches the
-  unsharded server's.
-* Counters and gauges are resolved by name from one registry, so shard
-  instruments are the *same objects* as an unsharded server's would be.
+* Placement draws from the server's one RNG, and repair walks the
+  globally sorted under-replication queue, so the RNG draw sequence
+  matches the unsharded server's.
+* The shard catalogs resolve their counters by name from the server's
+  registry, so every instrument is the object an unsharded server owns.
 
-With one shard this makes every operation bit-identical to today's
+With one shard this makes every operation bit-identical to the unsharded
 server (asserted differentially in tests and ``repro perf --shards``,
 same pattern as :func:`~repro.cdn.allocation.resolve_candidates_reference`),
 and :class:`~repro.sim.campaign.CampaignExecutor` campaigns produce
 bit-identical reports with sharding on or off at any shard count.
-
-Documented divergence at N > 1 (not observable by chaos reports):
-``publish_dataset_partitioned``'s internal post-publish repair is scoped
-to the owning site.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import CatalogError, ConfigurationError
 from ..ids import AuthorId, DatasetId, NodeId, ReplicaId, SegmentId
 from ..obs import Registry
 from ..rng import SeedLike
 from ..social.graph import CoauthorshipGraph
-from .allocation import (
-    AllocationFabric,
-    AllocationServer,
-    ReconcileReport,
-    ResolvedReplica,
-)
+from .allocation import AllocationServer, ReconcileReport, ResolvedReplica
 from .catalog import ReplicaCatalog, ReplicaIdAllocator
 from .content import Dataset, DataSegment, Replica, ReplicaState
-from .hopindex import HopIndex
 from .partitioning import PartitionAssignment
 from .placement.base import PlacementAlgorithm
-from .storage import StorageRepository
 from .syscat import SiteId, SystemCatalog, build_system_catalog
 
 
@@ -81,51 +73,46 @@ def _creation_key(replica: Replica) -> Tuple[int, int, str]:
 class FederatedCatalog:
     """The :class:`~repro.cdn.catalog.ReplicaCatalog` surface over N shards.
 
-    Point lookups route through the system catalog's fragment map (with
-    a shard-scan fallback for entries registered behind the router's
-    back); catalog-wide views merge every shard and sort by numeric
-    replica-id suffix, which — thanks to the shared id allocator — is
-    exactly the creation order a single catalog would have iterated in.
+    The one segment → site router: point lookups route through the
+    system catalog's dataset and fragment maps, with each segment's site
+    memoized after its first lookup (one dict probe on the resolve path)
+    and forgotten when its dataset is unregistered. Catalog-wide views
+    merge every shard and sort by numeric replica-id suffix, which —
+    thanks to the shared id allocator — is exactly the creation order a
+    single catalog would have iterated in.
     """
 
-    def __init__(
-        self,
-        syscat: SystemCatalog,
-        shards: List[ReplicaCatalog],
-        site_of_owner: Callable[[AuthorId], SiteId],
-        forget_segment: Optional[Callable[[SegmentId], None]] = None,
-    ) -> None:
+    def __init__(self, syscat: SystemCatalog, shards: List[ReplicaCatalog]) -> None:
         self._syscat = syscat
         self._shards = shards
-        self._site_of_owner = site_of_owner
-        # router hook: drop a segment's memoized owner-site entry when the
-        # segment leaves the federation (unregister), so a later re-register
-        # can never be routed on a stale memo
-        self._forget_segment = forget_segment
+        self._site_memo: Dict[SegmentId, SiteId] = {}
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def site_of_owner(self, author: AuthorId) -> SiteId:
+        """The author's site; late joiners get a sticky hash-ring site."""
+        return self._syscat.assign_author_fallback(author)
+
+    def site_of_segment(self, segment_id: SegmentId) -> SiteId:
+        """The site owning ``segment_id``'s replicas."""
+        site = self._site_memo.get(segment_id)
+        if site is None:
+            site = self._syscat.site_of_segment(segment_id)
+            self._site_memo[segment_id] = site
+        return site
+
     def shard_of_segment(self, segment_id: SegmentId) -> ReplicaCatalog:
         """The shard catalog owning ``segment_id``."""
-        if self._syscat.has_segment(segment_id):
-            return self._shards[self._syscat.site_of_segment(segment_id)]
-        for shard in self._shards:
-            try:
-                shard.segment(segment_id)
-            except CatalogError:
-                continue
-            return shard
-        raise CatalogError(f"unknown segment {segment_id!r}")
+        # the memo probe inlined: this routes every resolve
+        site = self._site_memo.get(segment_id)
+        if site is None:
+            site = self.site_of_segment(segment_id)
+        return self._shards[site]
 
     def shard_of_dataset(self, dataset_id: DatasetId) -> ReplicaCatalog:
         """The shard catalog owning ``dataset_id``."""
-        if self._syscat.has_dataset(dataset_id):
-            return self._shards[self._syscat.site_of_dataset(dataset_id)]
-        for shard in self._shards:
-            if dataset_id in shard:
-                return shard
-        raise CatalogError(f"unknown dataset {dataset_id!r}")
+        return self._shards[self._syscat.site_of_dataset(dataset_id)]
 
     def shard_of_replica(self, replica_id: ReplicaId) -> ReplicaCatalog:
         """The shard catalog indexing ``replica_id``."""
@@ -138,23 +125,25 @@ class FederatedCatalog:
     # datasets
     # ------------------------------------------------------------------
     def register_dataset(self, dataset: Dataset) -> None:
-        """Register a dataset on its owner's site and record the metadata."""
-        site = self._site_of_owner(dataset.owner)
-        self._shards[site].register_dataset(dataset)
+        """Register a dataset on its owner's site and record the metadata.
+
+        The system catalog records the id first, so a duplicate id is
+        rejected before any shard is touched.
+        """
+        site = self.site_of_owner(dataset.owner)
         self._syscat.register_dataset(dataset.dataset_id, site)
+        self._shards[site].register_dataset(dataset)
         for seg in dataset.segments:
             self._syscat.register_fragment(seg.segment_id, dataset.dataset_id, site)
 
     def unregister_dataset(self, dataset_id: DatasetId) -> None:
         """Unregister a dataset from its shard and drop its metadata."""
         shard = self.shard_of_dataset(dataset_id)
-        segments = [seg.segment_id for seg in shard.dataset(dataset_id).segments]
+        segments = shard.dataset(dataset_id).segments
         shard.unregister_dataset(dataset_id)
-        if self._syscat.has_dataset(dataset_id):
-            self._syscat.drop_dataset(dataset_id)
-        if self._forget_segment is not None:
-            for seg_id in segments:
-                self._forget_segment(seg_id)
+        self._syscat.drop_dataset(dataset_id)
+        for seg in segments:
+            self._site_memo.pop(seg.segment_id, None)
 
     def dataset(self, dataset_id: DatasetId) -> Dataset:
         """Look up a dataset on its owning shard."""
@@ -165,29 +154,11 @@ class FederatedCatalog:
         return self.shard_of_segment(segment_id).segment(segment_id)
 
     def datasets(self) -> List[Dataset]:
-        """All datasets, in global registration order.
-
-        The system catalog tracks the federation-wide registration
-        sequence; datasets registered behind the router's back (directly
-        into a shard catalog) follow in shard order.
-        """
-        out: List[Dataset] = []
-        seen: Set[DatasetId] = set()
-        for ds_id in self._syscat.datasets():
-            for shard in self._shards:
-                if ds_id in shard:
-                    out.append(shard.dataset(ds_id))
-                    seen.add(ds_id)
-                    break
-        for shard in self._shards:
-            for ds in shard.datasets():
-                if ds.dataset_id not in seen:
-                    out.append(ds)
-                    seen.add(ds.dataset_id)
-        return out
+        """All datasets, in global registration order."""
+        return [self.dataset(ds_id) for ds_id in self._syscat.datasets()]
 
     def __contains__(self, dataset_id: object) -> bool:
-        return any(dataset_id in shard for shard in self._shards)
+        return self._syscat.has_dataset(dataset_id)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # replicas
@@ -293,20 +264,21 @@ class FederatedCatalog:
         return out
 
 
-class ShardedAllocationRouter:
-    """N allocation-server shards behind the single-server interface.
+class ShardedAllocationRouter(AllocationServer):
+    """An allocation server whose replica catalog is split across sites.
 
-    Drop-in for :class:`~repro.cdn.allocation.AllocationServer`: every
-    public method and property of the server exists here with identical
-    semantics, so :class:`~repro.scdn.SCDN`, the CDN client, the
-    replication policy, the failure injector, the scrubber, and the
-    migration engine run unmodified against a federation.
+    Drop-in for :class:`~repro.cdn.allocation.AllocationServer`, because
+    it *is* one: every method of the server runs unchanged over
+    :attr:`catalog`, here a :class:`FederatedCatalog` whose shards hold
+    each dataset on its owner's site (the owner's community's site).
+    The :class:`~repro.cdn.syscat.SystemCatalog` (:attr:`syscat`)
+    records the site and fragment metadata that routes each lookup.
 
-    Membership, liveness, and hop-distance state live on one shared
-    :class:`AllocationFabric`; per-dataset replica state lives on the
-    shard that owns the dataset's site (the dataset owner's community's
-    site). The :class:`~repro.cdn.syscat.SystemCatalog` records the
-    site/fragment metadata that routes each operation.
+    What a partitioned control plane adds lives here. Each site "runs"
+    at a coordinator node; a requester that cannot reach the owning
+    site's coordinator gets :meth:`resolve_candidates` results flagged
+    ``degraded``, and its writes queue in a bounded hinted-handoff log
+    that :meth:`reconcile_after_heal` drains.
     """
 
     def __init__(
@@ -326,36 +298,22 @@ class ShardedAllocationRouter:
             raise ConfigurationError(
                 f"handoff_limit must be >= 1, got {handoff_limit}"
             )
-        self.placement = placement
-        self.fabric = AllocationFabric(
-            graph, seed=seed, hop_cache_sources=hop_cache_sources
+        super().__init__(
+            graph,
+            placement,
+            seed=seed,
+            registry=registry,
+            hop_cache_sources=hop_cache_sources,
         )
         self.syscat = build_system_catalog(graph, n_shards)
-        self._ids = ReplicaIdAllocator()
-        self.shards: List[AllocationServer] = [
-            AllocationServer(
-                graph,
-                placement,
-                registry=registry,
-                fabric=self.fabric,
-                id_allocator=self._ids,
-            )
+        ids = ReplicaIdAllocator()
+        # replaces the server's single catalog; the shards resolve their
+        # servable-cache counters by name from the same registry
+        shards = [
+            ReplicaCatalog(id_allocator=ids, registry=self.obs)
             for _ in range(n_shards)
         ]
-        self._home = self.shards[0]
-        self.obs = self._home.obs
-        #: memoized segment -> owner-site map, the routed resolve path's
-        #: dispatch shortcut: one dict probe instead of two system-catalog
-        #: method calls per request. Entries are dropped when a dataset is
-        #: unregistered (via the federated catalog's forget hook); sites
-        #: never move otherwise.
-        self._site_memo: Dict[SegmentId, SiteId] = {}
-        self.catalog = FederatedCatalog(
-            self.syscat,
-            [shard.catalog for shard in self.shards],
-            self._site_of_owner,
-            self._forget_site_memo,
-        )
+        self.catalog = FederatedCatalog(self.syscat, shards)
         #: bounded hinted-handoff log: writes destined for a partitioned-
         #: away site wait here until reconcile_after_heal() drains them
         self.handoff_limit = handoff_limit
@@ -380,54 +338,19 @@ class ShardedAllocationRouter:
     @property
     def n_shards(self) -> int:
         """Number of allocation shards in the federation."""
-        return len(self.shards)
+        return self.syscat.n_sites
 
-    def _site_of_owner(self, author: AuthorId) -> SiteId:
-        """The author's site; late joiners get a hash-ring assignment."""
-        site = self.syscat.site_of_author(author)
-        if site is not None:
-            return site
-        return self.syscat.assign_author_fallback(author)
-
-    def _forget_site_memo(self, segment_id: SegmentId) -> None:
-        self._site_memo.pop(segment_id, None)
-
-    def _site_of_segment(self, segment_id: SegmentId) -> SiteId:
-        site = self._site_memo.get(segment_id)
-        if site is not None:
-            return site
-        if self.syscat.has_segment(segment_id):
-            site = self.syscat.site_of_segment(segment_id)
-        else:
-            site = -1
-            for i, shard in enumerate(self.shards):
-                try:
-                    shard.catalog.segment(segment_id)
-                except CatalogError:
-                    continue
-                site = i
-                break
-            if site < 0:
-                raise CatalogError(f"unknown segment {segment_id!r}")
-        self._site_memo[segment_id] = site
-        return site
-
-    def _shard_of_segment(self, segment_id: SegmentId) -> AllocationServer:
-        return self.shards[self._site_of_segment(segment_id)]
-
-    def _shard_of_dataset(self, dataset_id: DatasetId) -> AllocationServer:
-        if self.syscat.has_dataset(dataset_id):
-            return self.shards[self.syscat.site_of_dataset(dataset_id)]
-        for shard in self.shards:
-            if dataset_id in shard.catalog:
-                return shard
-        raise CatalogError(f"unknown dataset {dataset_id!r}")
-
-    def _shard_of_replica(self, replica_id: ReplicaId) -> AllocationServer:
-        for shard in self.shards:
-            if shard.catalog.has_replica(replica_id):
-                return shard
-        raise CatalogError(f"unknown replica {replica_id!r}")
+    # ``bench/probe.py`` traces methods by patching ``vars(cls)[name]``,
+    # so every method it traces on the router must sit in this class
+    # body, even where the server's implementation serves unchanged.
+    register_repository = AllocationServer.register_repository
+    node_offline = AllocationServer.node_offline
+    node_online = AllocationServer.node_online
+    migrate_node = AllocationServer.migrate_node
+    quarantine_replica = AllocationServer.quarantine_replica
+    record_served = AllocationServer.record_served
+    record_failover = AllocationServer.record_failover
+    resolve = AllocationServer.resolve
 
     # ------------------------------------------------------------------
     # partition awareness
@@ -439,7 +362,7 @@ class ShardedAllocationRouter:
         its coordinator for reachability purposes: an operation can reach
         the shard iff it can reach this node."""
         best: Optional[NodeId] = None
-        for author, node in self.fabric.node_of_author.items():
+        for author, node in self._node_of_author.items():
             if self.syscat.site_of_author(author) != site:
                 continue
             if best is None or str(node) < str(best):
@@ -454,13 +377,19 @@ class ShardedAllocationRouter:
         net = self.fabric.reachability
         if net is None or not net.partitioned:
             return False
-        origin = self.fabric.node_of_author.get(requester)
+        origin = self._node_of_author.get(requester)
         if origin is None:
             return False
         coordinator = self._site_origin(site)
         if coordinator is None:
             return False
         return not net.reachable(origin, coordinator)
+
+    def _owner_cut_off(self, dataset: Dataset) -> bool:
+        """Whether ``dataset``'s owner cannot reach its own site."""
+        return self._degraded_site(
+            self.catalog.site_of_owner(dataset.owner), dataset.owner
+        )
 
     def _queue_handoff(self, hint: Tuple) -> None:
         """Append a write hint to the bounded handoff log (or reject)."""
@@ -480,162 +409,8 @@ class ShardedAllocationRouter:
         return list(self._handoff)
 
     # ------------------------------------------------------------------
-    # graph (overlay fabric) — shared; one hop index for the federation
+    # publication — queued while the owner is cut off from its site
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> CoauthorshipGraph:
-        """The shared trusted graph; assignment rebuilds the hop index once."""
-        return self.fabric.graph
-
-    @graph.setter
-    def graph(self, graph: CoauthorshipGraph) -> None:
-        # the home shard's setter swaps fabric.graph and rebuilds the
-        # shared index exactly once — other shards alias the same fabric
-        self._home.graph = graph
-
-    @property
-    def hop_index(self) -> HopIndex:
-        """The federation's shared hop index."""
-        return self.fabric.hops
-
-    # ------------------------------------------------------------------
-    # membership / liveness — shared fabric state, served by the home shard
-    # ------------------------------------------------------------------
-    def register_repository(
-        self, author: AuthorId, repository: StorageRepository
-    ) -> NodeId:
-        """Register a repository with the federation (shared membership)."""
-        return self._home.register_repository(author, repository)
-
-    def repository(self, node: NodeId) -> StorageRepository:
-        """Look up a registered repository."""
-        return self._home.repository(node)
-
-    def node_of(self, author: AuthorId) -> NodeId:
-        """Node id of an author's repository."""
-        return self._home.node_of(author)
-
-    def author_of(self, node: NodeId) -> AuthorId:
-        """Author hosting a node."""
-        return self._home.author_of(node)
-
-    def registered_authors(self) -> List[AuthorId]:
-        """Authors that contributed repositories."""
-        return self._home.registered_authors()
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of registered storage nodes."""
-        return self._home.n_nodes
-
-    def has_node(self, node: NodeId) -> bool:
-        """Whether ``node`` has a registered repository."""
-        return self._home.has_node(node)
-
-    def set_liveness_oracle(
-        self, oracle: Optional[Callable[[NodeId], bool]]
-    ) -> None:
-        """Install a liveness oracle on the shared fabric."""
-        self._home.set_liveness_oracle(oracle)
-
-    def set_reachability_oracle(self, model: Optional[object]) -> None:
-        """Install a reachability oracle on the shared fabric (see
-        :meth:`AllocationServer.set_reachability_oracle`). Beyond the
-        per-shard candidate filtering, the router uses it to detect
-        unreachable owning sites and fall back to degraded resolves and
-        hinted handoff."""
-        self._home.set_reachability_oracle(model)
-
-    def set_peer_registry(self, peers: Optional[object]) -> None:
-        """Install a peer-tier registry on the shared fabric (see
-        :meth:`AllocationServer.set_peer_registry`). One fabric, one peer
-        population: every shard's resolve path merges the same leases,
-        so a peer minted by a requester homed on one site serves
-        requesters homed on any site."""
-        self._home.set_peer_registry(peers)
-
-    def _is_live(self, node: NodeId) -> bool:
-        return self._home._is_live(node)
-
-    def is_online(self, node: NodeId) -> bool:
-        """Whether a registered node is currently online."""
-        return self._home.is_online(node)
-
-    def state_transitions(self, node: NodeId) -> List[Tuple[float, str]]:
-        """The recorded state transitions of a node."""
-        return self._home.state_transitions(node)
-
-    def availability_log(self) -> Dict[NodeId, List[Tuple[float, str]]]:
-        """State-transition logs for every registered node."""
-        return self._home.availability_log()
-
-    def hops_from(self, requester: AuthorId) -> Dict[AuthorId, int]:
-        """Hop distances from ``requester`` (shared hop index)."""
-        return self._home.hops_from(requester)
-
-    def untrusted_hosts(self) -> List[NodeId]:
-        """Registered nodes outside the current trust boundary."""
-        return self._home.untrusted_hosts()
-
-    # ------------------------------------------------------------------
-    # node state — federation-wide, replica transitions routed per shard
-    # ------------------------------------------------------------------
-    def node_offline(self, node: NodeId, *, at: float = 0.0) -> int:
-        """Mark a node offline federation-wide; its replicas become STALE.
-
-        Same guard/transition/replica sequence as the single server: one
-        recorded transition, then the node's replicas walked in creation
-        order (the federated merge) and marked stale on their owning
-        shards.
-        """
-        fabric = self.fabric
-        if node not in fabric.repos:
-            raise ConfigurationError(f"unknown node {node!r}")
-        if node in fabric.offline:
-            return 0
-        fabric.offline.add(node)
-        self._home._record_transition(node, at, "offline")
-        n = 0
-        for rep in self.catalog.replicas_on_node(node):
-            if rep.state is ReplicaState.ACTIVE:
-                self.catalog.mark_stale(rep.replica_id)
-                n += 1
-        return n
-
-    def node_online(self, node: NodeId, *, at: float = 0.0) -> int:
-        """Mark a node online; digest-verified STALE replicas reactivate."""
-        fabric = self.fabric
-        if node not in fabric.repos:
-            raise ConfigurationError(f"unknown node {node!r}")
-        if node not in fabric.offline:
-            return 0
-        fabric.offline.discard(node)
-        self._home._record_transition(node, at, "online")
-        repo = fabric.repos[node]
-        n = 0
-        for rep in self.catalog.replicas_on_node(node):
-            if rep.state is ReplicaState.STALE and repo.hosts_segment(rep.segment_id):
-                segment = self.catalog.segment(rep.segment_id)
-                if repo.verify_replica(rep.segment_id, segment.digest):
-                    self.catalog.activate(rep.replica_id)
-                    n += 1
-                else:
-                    self.quarantine_replica(
-                        rep.replica_id, at=at, reason="reactivation-check"
-                    )
-        return n
-
-    # ------------------------------------------------------------------
-    # budgets / publication — routed by dataset owner's site
-    # ------------------------------------------------------------------
-    def replica_budget(self, dataset_id: DatasetId) -> int:
-        """The replica budget of a dataset, from its owning shard."""
-        return self._shard_of_dataset(dataset_id).replica_budget(dataset_id)
-
-    def set_replica_budget(self, dataset_id: DatasetId, budget: int) -> None:
-        """Set a dataset's replica budget on its owning shard."""
-        self._shard_of_dataset(dataset_id).set_replica_budget(dataset_id, budget)
-
     def publish_dataset(
         self,
         dataset: Dataset,
@@ -645,28 +420,15 @@ class ShardedAllocationRouter:
     ) -> List[Replica]:
         """Publish a dataset on its owner's site.
 
-        The owning shard runs the exact single-server publication
-        (placement over the shared host fabric, shared RNG, shared id
-        allocator); the system catalog records the dataset and its
-        fragments only after the shard commits, so a rolled-back
-        publication leaves no metadata behind.
-
-        When the owner is partitioned away from the owning site, the
-        publish queues in the bounded hinted-handoff log instead of
+        When the owner is partitioned away from its site's coordinator,
+        the publish queues in the bounded hinted-handoff log instead of
         erroring (returns ``[]``; no replicas exist and no metadata is
         registered until :meth:`reconcile_after_heal` replays the hint).
         """
-        site = self._site_of_owner(dataset.owner)
-        if self._degraded_site(site, dataset.owner):
+        if self._owner_cut_off(dataset):
             self._queue_handoff(("publish", dataset, n_replicas, at))
             return []
-        replicas = self.shards[site].publish_dataset(
-            dataset, n_replicas=n_replicas, at=at
-        )
-        self.syscat.register_dataset(dataset.dataset_id, site)
-        for seg in dataset.segments:
-            self.syscat.register_fragment(seg.segment_id, dataset.dataset_id, site)
-        return replicas
+        return super().publish_dataset(dataset, n_replicas=n_replicas, at=at)
 
     def publish_dataset_partitioned(
         self,
@@ -678,28 +440,20 @@ class ShardedAllocationRouter:
     ) -> List[Replica]:
         """Publish with socially partitioned placement on the owner's site.
 
-        The post-publish redundancy repair this method runs internally is
-        scoped to the owning shard (a documented N > 1 divergence; the
-        federation-wide :meth:`repair` covers every site). Like
-        :meth:`publish_dataset`, an owner partitioned away from the
-        owning site queues a hint instead of publishing.
+        Like :meth:`publish_dataset`, an owner partitioned away from its
+        site queues a hint instead of publishing.
         """
-        site = self._site_of_owner(dataset.owner)
-        if self._degraded_site(site, dataset.owner):
+        if self._owner_cut_off(dataset):
             self._queue_handoff(
                 ("publish_partitioned", dataset, assignment, extra_replicas, at)
             )
             return []
-        replicas = self.shards[site].publish_dataset_partitioned(
+        return super().publish_dataset_partitioned(
             dataset, assignment, extra_replicas=extra_replicas, at=at
         )
-        self.syscat.register_dataset(dataset.dataset_id, site)
-        for seg in dataset.segments:
-            self.syscat.register_fragment(seg.segment_id, dataset.dataset_id, site)
-        return replicas
 
     # ------------------------------------------------------------------
-    # discovery — routed by segment
+    # discovery — degraded across a partition
     # ------------------------------------------------------------------
     def resolve_candidates(
         self,
@@ -708,194 +462,47 @@ class ShardedAllocationRouter:
         *,
         limit: Optional[int] = None,
     ) -> List[ResolvedReplica]:
-        """Rank a segment's servable replicas on its owning shard.
+        """Rank a segment's servable replicas, as the server does.
 
         When the owning site is partitioned away from the requester, the
         ranking comes from the stale federated view restricted to
         replicas the requester can reach, and every result is flagged
-        ``degraded=True``.
+        ``degraded=True`` (which :meth:`resolve` counts on
+        ``alloc.resolve.degraded``).
         """
-        site = self._site_memo.get(segment_id)
-        if site is None:
-            site = self._site_of_segment(segment_id)
-        candidates = self.shards[site].resolve_candidates(
-            segment_id, requester, limit=limit
-        )
+        candidates = super().resolve_candidates(segment_id, requester, limit=limit)
         # a whole network (the common case) never degrades: skip the call
         if (
             candidates
             and self.fabric.reachability is not None
-            and self._degraded_site(site, requester)
+            and self._degraded_site(
+                self.catalog.site_of_segment(segment_id), requester
+            )
         ):
-            candidates = [
-                ResolvedReplica(
-                    replica=c.replica,
-                    social_hops=c.social_hops,
-                    degraded=True,
-                    peer=c.peer,
-                )
-                for c in candidates
-            ]
+            candidates = [replace(c, degraded=True) for c in candidates]
         return candidates
 
-    def _resolve_degraded(
-        self,
-        site: SiteId,
-        segment_id: SegmentId,
-        requester: AuthorId,
-        *,
-        record: bool,
-    ) -> ResolvedReplica:
-        """Serve a resolve whose owning shard is unreachable.
-
-        Candidates come from the stale federated view (the fragment map
-        plus the shard catalog contents as of the partition) filtered to
-        replicas the requester's side can reach; bookkeeping mirrors the
-        single-server :meth:`AllocationServer.resolve` plus the
-        ``alloc.resolve.degraded`` counter and a ``resolve_degraded``
-        trace, and the returned replica is flagged ``degraded=True``. It
-        does not count on the fabric's demand tracker: degraded reads have
-        never been demand (DESIGN.md section 9).
-        """
-        shard = self.shards[site]
-        t0 = perf_counter()
-        candidates = shard.resolve_candidates(segment_id, requester, limit=1)
-        if not candidates:
-            shard._m_resolve_failed.inc()
-            self.obs.trace(
-                "resolve_failed", segment=str(segment_id), requester=str(requester)
-            )
-            raise CatalogError(
-                f"no reachable servable replica of {segment_id} "
-                "(owning site partitioned away)"
-            )
-        best = candidates[0]
-        load = self.fabric.repos[best.replica.node_id].reads_served
-        if record:
-            if best.peer:
-                self.fabric.peer_registry.record_direct_serve(best.replica)
-            else:
-                shard.record_served(best.replica)
-        elapsed = perf_counter() - t0
-        shard._m_resolve_latency.observe(elapsed)
-        shard._m_resolve_total.inc()
-        shard._m_resolve_degraded.inc()
-        shard._m_chosen_load.set(load)
-        d = best.social_hops
-        if d is not None:
-            shard._m_resolve_hops.observe(d)
-        else:
-            shard._m_resolve_unreachable.inc()
-        self.obs.trace(
-            "resolve_degraded",
-            segment=str(segment_id),
-            requester=str(requester),
-            node=str(best.replica.node_id),
-            hops=d,
-            load=load,
-            latency_s=elapsed,
-        )
-        return ResolvedReplica(
-            replica=best.replica, social_hops=d, degraded=True, peer=best.peer
-        )
-
-    def resolve(
-        self, segment_id: SegmentId, requester: AuthorId, *, record: bool = True
-    ) -> ResolvedReplica:
-        """Resolve a segment on its owning shard (single-server semantics).
-
-        When the owning site is partitioned away from the requester the
-        resolve degrades instead of failing: any replica on the
-        requester's side of the partition can still serve (flagged
-        ``degraded=True``, counted on ``alloc.resolve.degraded``).
-        """
-        site = self._site_of_segment(segment_id)
-        if self._degraded_site(site, requester):
-            return self._resolve_degraded(
-                site, segment_id, requester, record=record
-            )
-        return self.shards[site].resolve(segment_id, requester, record=record)
-
-    def record_served(self, replica: Replica) -> None:
-        """Record a read served by ``replica`` (shared repositories)."""
-        self._home.record_served(replica)
-
-    def record_failover(
-        self,
-        segment_id: SegmentId,
-        requester: AuthorId,
-        *,
-        from_node: NodeId,
-        to_node: NodeId,
-    ) -> None:
-        """Record a failover (shared counter and trace ring)."""
-        self._home.record_failover(
-            segment_id, requester, from_node=from_node, to_node=to_node
-        )
-
     # ------------------------------------------------------------------
-    # integrity
+    # repair and post-heal reconciliation
     # ------------------------------------------------------------------
-    def replica_verified(self, replica: Replica) -> bool:
-        """Digest-verify a replica against its owning shard's segment."""
-        return self._shard_of_segment(replica.segment_id).replica_verified(replica)
-
-    def quarantine_replica(
-        self, replica_id: ReplicaId, *, at: float = 0.0, reason: str = "scrub"
-    ) -> Replica:
-        """Quarantine a replica on its owning shard."""
-        return self._shard_of_replica(replica_id).quarantine_replica(
-            replica_id, at=at, reason=reason
-        )
-
-    # ------------------------------------------------------------------
-    # management: repair, demand, migration — federation-wide
-    # ------------------------------------------------------------------
-    def under_replicated(self) -> List[Tuple[SegmentId, int]]:
-        """Under-budget segments across every shard, most-degraded first.
-
-        The merge re-applies the single server's ``(live, segment_id)``
-        sort, so the federation repairs in the same global order — and
-        with the same RNG draw sequence — as one server would.
-        """
-        out: List[Tuple[SegmentId, int]] = []
-        for shard in self.shards:
-            out.extend(shard.under_replicated())
-        out.sort(key=lambda t: (t[1], t[0]))
-        return out
-
-    def eligible_migration_targets(self, segment_id: SegmentId) -> List[AuthorId]:
-        """Eligible new hosts for a segment, per its owning shard."""
-        return self._shard_of_segment(segment_id).eligible_migration_targets(
-            segment_id
-        )
-
     def repair(self, *, at: float = 0.0) -> List[Replica]:
         """Re-replicate every under-replicated segment, federation-wide.
 
-        Walks the globally sorted queue and dispatches each segment to
-        its owning shard's per-segment repair, then counts the grand
-        total once — identical counters, traces, and placement-RNG draws
-        to the single server's :meth:`~AllocationServer.repair`.
-
+        On a whole network this is the server's :meth:`~AllocationServer.repair`.
         Under an active partition the sweep degrades instead of copying
         bytes across severed links: segments owned by a site whose
-        coordinator the control plane (the home site's coordinator)
-        cannot reach queue a repair hint for :meth:`reconcile_after_heal`
+        coordinator the control plane (site 0's coordinator) cannot reach
+        queue a repair hint for :meth:`reconcile_after_heal`
         (deduplicated per segment), and repairs that do run are confined
         to the owning coordinator's side of the partition.
         """
         net = self.fabric.reachability
-        partitioned = net is not None and net.partitioned
-        home_origin = self._site_origin(0) if partitioned else None
+        if net is None or not net.partitioned:
+            return super().repair(at=at)
+        home_origin = self._site_origin(0)
         created: List[Replica] = []
         for segment_id, live in self.under_replicated():
-            site = self._site_of_segment(segment_id)
-            shard = self.shards[site]
-            if not partitioned:
-                created.extend(shard._repair_segment(segment_id, live, at=at))
-                continue
-            coordinator = self._site_origin(site)
+            coordinator = self._site_origin(self.catalog.site_of_segment(segment_id))
             if (
                 home_origin is not None
                 and coordinator is not None
@@ -906,11 +513,9 @@ class ShardedAllocationRouter:
                     self._queue_handoff(("repair", segment_id))
                 continue
             created.extend(
-                shard._repair_segment(
-                    segment_id, live, at=at, origin=coordinator
-                )
+                self._repair_segment(segment_id, live, at=at, origin=coordinator)
             )
-        self._home._m_repairs.inc(len(created))
+        self._m_repairs.inc(len(created))
         return created
 
     def reconcile_after_heal(self, *, at: float = 0.0) -> ReconcileReport:
@@ -933,31 +538,24 @@ class ShardedAllocationRouter:
         replayed_repairs = 0
         for hint in pending:
             kind = hint[0]
-            if kind == "publish":
-                _, dataset, n_replicas, _t = hint
-                if self._degraded_site(
-                    self._site_of_owner(dataset.owner), dataset.owner
-                ):
-                    self._queue_handoff(hint)  # still partitioned away
-                    continue
-                self.publish_dataset(dataset, n_replicas=n_replicas, at=at)
-                replayed_publishes += 1
+            if kind == "repair":  # the closing sweep below covers it
+                replayed_repairs += 1
                 self._m_handoff_replayed.inc()
-            elif kind == "publish_partitioned":
-                _, dataset, assignment, extra_replicas, _t = hint
-                if self._degraded_site(
-                    self._site_of_owner(dataset.owner), dataset.owner
-                ):
-                    self._queue_handoff(hint)
-                    continue
+                continue
+            dataset = hint[1]
+            if self._owner_cut_off(dataset):
+                self._queue_handoff(hint)  # still partitioned away
+                continue
+            if kind == "publish":
+                _, _, n_replicas, _t = hint
+                self.publish_dataset(dataset, n_replicas=n_replicas, at=at)
+            else:  # "publish_partitioned"
+                _, _, assignment, extra_replicas, _t = hint
                 self.publish_dataset_partitioned(
                     dataset, assignment, extra_replicas=extra_replicas, at=at
                 )
-                replayed_publishes += 1
-                self._m_handoff_replayed.inc()
-            else:  # "repair": the closing sweep below covers it
-                replayed_repairs += 1
-                self._m_handoff_replayed.inc()
+            replayed_publishes += 1
+            self._m_handoff_replayed.inc()
         created = self.repair(at=at)
         report = ReconcileReport(
             replayed_publishes=replayed_publishes,
@@ -974,41 +572,3 @@ class ShardedAllocationRouter:
             remaining=len(self._handoff),
         )
         return report
-
-    # one implementation: it reads only ``self.catalog``, which here is
-    # the federated view of every shard
-    hot_segments = AllocationServer.hot_segments
-
-    def scale_hot(
-        self, threshold: int, *, extra: int = 1, at: float = 0.0
-    ) -> List[Replica]:
-        """Raise hot datasets' budgets on their owning shards and repair."""
-        if extra < 1:
-            raise ConfigurationError(f"extra must be >= 1, got {extra}")
-        touched: Set[DatasetId] = set()
-        for seg_id, _count in self.hot_segments(threshold):
-            shard = self._shard_of_segment(seg_id)
-            ds_id = shard.catalog.segment(seg_id).dataset_id
-            if ds_id not in touched:
-                shard._dataset_budget[ds_id] = shard.replica_budget(ds_id) + extra
-                touched.add(ds_id)
-        if not touched:
-            return []
-        return self.repair(at=at)
-
-    def migrate_node(self, node: NodeId, *, at: float = 0.0) -> List[Replica]:
-        """Handle a permanent departure federation-wide, then repair."""
-        fabric = self.fabric
-        if node not in fabric.repos:
-            raise ConfigurationError(f"unknown node {node!r}")
-        repo = fabric.repos[node]
-        for rep in self.catalog.replicas_on_node(node):
-            self.catalog.retire(rep.replica_id)
-            if repo.hosts_segment(rep.segment_id):
-                repo.evict_replica(rep.segment_id)
-        if node not in fabric.offline:
-            fabric.offline.add(node)
-            self._home._record_transition(node, at, "offline")
-        self._home._m_migrations.inc()
-        self.obs.trace("migrate", ts=at, node=str(node))
-        return self.repair(at=at)

@@ -142,11 +142,11 @@ class ShardBenchResult:
 
     ``routed_rps`` is one thread driving the router (routing overhead on
     top of ``unsharded_rps``). ``federated_rps`` is the partition-
-    parallel number: each site's shard serves only its own partition of
-    the workload, and the federation's wall clock is the slowest site's —
-    the throughput N single-site allocation servers would sustain side by
-    side. ``site_requests`` shows how evenly the community partition
-    spread the workload.
+    parallel number: each site's slice of the workload is timed on its
+    own through the router, and the federation's wall clock is the
+    slowest site's — the throughput N single-site allocation servers
+    would sustain side by side. ``site_requests`` shows how evenly the
+    community partition spread the workload.
     """
 
     far_clusters: int
@@ -409,10 +409,11 @@ def shard_throughput(
     fifteen interleaved passes), so one-off hop-row builds and host noise
     do not swamp a resolve that costs microseconds.
 
-    ``federated_rps`` models one allocation server per site: each site
-    serves only its own partition of the workload, and the federation's
-    wall clock is the slowest site's elapsed time — throughput scales
-    with shard count as long as the partition keeps sites busy evenly.
+    ``federated_rps`` models one allocation server per site: each site's
+    slice of the workload is timed on its own through the router, and
+    the federation's wall clock is the slowest site's elapsed time —
+    throughput scales with shard count as long as the partition keeps
+    sites busy evenly.
 
     The differential check replays every distinct ``(segment,
     requester)`` pair against the router, the unsharded server, and the
@@ -439,19 +440,16 @@ def shard_throughput(
     workload = _request_workload(segments, authors, requests)
 
     # Partition-parallel measurement on a fresh federation: each site's
-    # shard serves its own requests; the federation finishes when the
+    # requests are timed on their own; the federation finishes when the
     # slowest site does.
     fed, _, _ = build_sharded_deployment(**build, n_shards=n_shards)
     by_site: Dict[int, List[Tuple[SegmentId, AuthorId]]] = {}
     for seg, req in workload:
-        by_site.setdefault(fed._site_of_segment(seg), []).append((seg, req))
+        by_site.setdefault(fed.catalog.site_of_segment(seg), []).append((seg, req))
     site_requests = [len(by_site.get(s, ())) for s in range(n_shards)]
     unsharded_s, routed_s, *site_s = _steady_pass_s(
         [(server.resolve_candidates, workload), (router.resolve_candidates, workload)]
-        + [
-            (fed.shards[site].resolve_candidates, site_load)
-            for site, site_load in by_site.items()
-        ]
+        + [(fed.resolve_candidates, site_load) for site_load in by_site.values()]
     )
     slowest = max(site_s)
 

@@ -36,7 +36,6 @@ from typing import (
     Literal,
     Optional,
     Sequence,
-    Union,
 )
 
 from ..errors import ConfigurationError
@@ -49,9 +48,6 @@ if TYPE_CHECKING:  # avoid a runtime sim -> cdn import cycle
     from ..cdn.allocation import AllocationServer
     from ..cdn.peers import PeerRegistry
     from ..cdn.replication import ReplicationPolicy
-    from ..cdn.sharding import ShardedAllocationRouter
-
-    AttachableServer = Union[AllocationServer, ShardedAllocationRouter]
 
 FailureKind = Literal[
     "crash",
@@ -132,7 +128,7 @@ class FailureInjector:
         #: network holding each node's active degradation (for crash cleanup)
         self._slow_net: Dict[NodeId, NetworkModel] = {}
         #: allocation server or router wired via attach_server
-        self._server: Optional["AttachableServer"] = None
+        self._server: Optional["AllocationServer"] = None
         self.history: List[FailureEvent] = []
 
     def on_failure(self, handler: Handler) -> None:
@@ -401,15 +397,13 @@ class FailureInjector:
     # ------------------------------------------------------------------
     def attach_server(
         self,
-        server: "AttachableServer",
+        server: "AllocationServer",
         *,
         policy: Optional["ReplicationPolicy"] = None,
         repair_delay_s: float = 0.0,
     ) -> None:
-        """Wire this injector's events into an allocation server (a plain
-        :class:`~repro.cdn.allocation.AllocationServer` or a
-        :class:`~repro.cdn.sharding.ShardedAllocationRouter` — both expose
-        the same control-plane surface).
+        """Wire this injector's events into an allocation server (the
+        sharded router is one).
 
         * installs :meth:`is_alive` as the server's liveness oracle, so
           ``resolve``/placement/repair never pick nodes this injector has

@@ -158,7 +158,7 @@ class TestResolveFeed:
             registry=reg,
         )
         # one fabric: a single assignment reaches every shard
-        assert all(shard.fabric.demand is engine.demand for shard in router.shards)
+        assert router.fabric.demand is engine.demand
         split_cliques(net)
         assert router.resolve(seg, AuthorId("a"), record=False).degraded
         assert not router.resolve(seg, AuthorId("y"), record=False).degraded

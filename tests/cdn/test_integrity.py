@@ -333,34 +333,6 @@ class TestServerIntegrityPaths:
             server.quarantine_replica("r-999")
 
 
-class TestFailoverRebuildVerification:
-    def test_rebuild_drops_unverifiable_replicas(self):
-        """Satellite: a promoted standby must not re-catalog repository
-        copies whose digest disagrees with the snapshot."""
-        from repro.cdn.server_group import AllocationServerGroup
-
-        group = AllocationServerGroup(
-            community_graph(), RandomPlacement(), seed=3
-        )
-        for a in AUTHORS:
-            group.register_repository(
-                AuthorId(a), StorageRepository(NodeId(a), 10_000)
-            )
-        ds = segment_dataset(DatasetId("d"), AuthorId("alice"), 1000)
-        group.publish_dataset(ds, n_replicas=3)
-        group.sync(at=100.0)
-        seg = ds.segments[0].segment_id
-        rotted = sorted(group.primary.catalog.nodes_hosting(seg))[0]
-        group.primary.repository(rotted).corrupt_replica(seg, at=150.0)
-
-        new = group.fail_primary(at=200.0)
-        assert group.dropped_unverifiable == 1
-        assert rotted not in new.catalog.nodes_hosting(seg)
-        assert len(new.catalog.nodes_hosting(seg)) == 2
-        # the rotted bytes were evicted, not left as an orphan
-        assert not new.repository(rotted).hosts_segment(seg)
-
-
 # ---------------------------------------------------------------------------
 # property-based invariants (satellite: catalog + scrubber under randomness)
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.failures import FailureInjector
 from repro.sim.network import GeoPoint, NetworkModel
 from repro.social.graph import CoauthorshipGraph
-from repro.cdn.allocation import resolve_candidates_reference
+from repro.cdn.allocation import AllocationServer, resolve_candidates_reference
 from repro.cdn.content import segment_dataset
 from repro.cdn.placement import RandomPlacement
 from repro.cdn.sharding import ShardedAllocationRouter, _creation_key
 from repro.cdn.storage import StorageRepository
 
 from ..conftest import pub
-from .test_allocation_bugfixes import graph_of, make_server
+from .test_allocation_bugfixes import assignment_to, graph_of, make_server
 
 
 def ranking(candidates):
@@ -79,11 +79,10 @@ class TestConstruction:
         """All shards resolve instruments by name from one registry —
         the same objects an unsharded server would own."""
         _, (router, _, _) = twin(2, far_clusters=4)
-        for shard in router.shards[1:]:
-            assert shard.obs is router.shards[0].obs
-            assert (
-                shard._m_resolve_total is router.shards[0]._m_resolve_total
-            )
+        reg = router.obs
+        for shard in router.catalog._shards:
+            assert shard._m_servable_hits is reg.counter("catalog.servable_cache.hits")
+        assert router._m_resolve_total is reg.counter("alloc.resolve.total")
 
 
 class TestSingleShardEquivalence:
@@ -134,7 +133,7 @@ class TestMultiShardEquivalence:
         """The bench twin must exercise more than one site, or the
         multi-shard assertions above test nothing."""
         _, (router, segments, _) = twin(4, far_clusters=6, datasets=8)
-        sites = {router._site_of_segment(s) for s in segments}
+        sites = {router.catalog.site_of_segment(s) for s in segments}
         assert len(sites) > 1
 
 
@@ -187,6 +186,29 @@ class TestNodeStateParity:
             (r.replica_id, r.node_id) for r in routed_created
         ]
         assert router.catalog.replicas_on_node(node) == []
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_partitioned_publish_repair_identical(self, n_shards):
+        """The repair a partitioned publish runs covers every site, as on
+        one server: it also backfills other datasets' segments."""
+        (flat, _, authors), (router, _, _) = twin(
+            n_shards, far_clusters=4, datasets=6
+        )
+        for a in authors[:4]:
+            flat.node_offline(NodeId(f"node-{a}"), at=1.0)
+            router.node_offline(NodeId(f"node-{a}"), at=1.0)
+        ds = segment_dataset(DatasetId("part"), authors[-1], 1_000, n_segments=2)
+        assignment = assignment_to(ds, authors[5])
+        flat_created = flat.publish_dataset_partitioned(
+            ds, assignment, extra_replicas=2, at=2.0
+        )
+        routed_created = router.publish_dataset_partitioned(
+            ds, assignment, extra_replicas=2, at=2.0
+        )
+        assert [(r.replica_id, r.node_id) for r in routed_created] == [
+            (r.replica_id, r.node_id) for r in flat_created
+        ]
+        assert router.under_replicated() == flat.under_replicated()
 
     def test_scale_hot_identical(self):
         (flat, segments, authors), (router, _, _) = twin(
@@ -255,6 +277,32 @@ class TestFallbackAssignment:
         assert DatasetId("big") not in router.catalog
 
 
+class TestDuplicateDatasetId:
+    def test_duplicate_from_another_site_places_nothing(self):
+        """A duplicate dataset id is rejected before anything is placed,
+        even when its owner sits on another site than the original's."""
+        _, (router, _, authors) = twin(3, far_clusters=5, datasets=6)
+        ds_id = DatasetId("bench-0")
+        home = router.syscat.site_of_dataset(ds_id)
+        owner = next(a for a in authors if router.syscat.site_of_author(a) != home)
+        shards = router.catalog._shards
+
+        def footprint():
+            return (
+                router.catalog.total_replicas(),
+                sum(
+                    router.repository(router.node_of(a)).replica_used_bytes
+                    for a in router.registered_authors()
+                ),
+                {i for i, shard in enumerate(shards) if ds_id in shard},
+            )
+
+        before = footprint()
+        with pytest.raises(CatalogError):
+            router.publish_dataset(segment_dataset(ds_id, owner, 1_000), n_replicas=2)
+        assert footprint() == before
+
+
 class TestFederatedCatalog:
     def test_iter_replicas_in_creation_order(self):
         _, (router, _, _) = twin(3, far_clusters=5, datasets=6)
@@ -310,7 +358,7 @@ class TestSiteMemo:
             registry=Registry(), n_shards=2, far_clusters=4, spread_owners=True
         )
         first = router.resolve_candidates(segments[0], authors[0])
-        assert segments[0] in router._site_memo
+        assert segments[0] in router.catalog._site_memo
         # the memoized route still resolves identically
         assert ranking(router.resolve_candidates(segments[0], authors[0])) == (
             ranking(first)
@@ -329,7 +377,7 @@ class TestSiteMemo:
         for rep in router.catalog.replicas_of_dataset(ds_id):
             router.catalog.retire(rep.replica_id)
         router.catalog.unregister_dataset(ds_id)
-        assert segments[0] not in router._site_memo
+        assert segments[0] not in router.catalog._site_memo
 
 
 # ----------------------------------------------------------------------
@@ -432,14 +480,13 @@ class TestDegradedResolve:
     def test_degraded_resolve_is_owning_shard_head(self):
         router, net, seg = self._published()
         split_cliques(net)
-        shard = router.shards[router.syscat.site_of_author(AuthorId("x"))]
         requesters = [AuthorId(a) for a in "abcxyz"]
         for requester in requesters:
             full = router.resolve_candidates(seg, requester)
             for k in (1, 2):
                 assert router.resolve_candidates(seg, requester, limit=k) == full[:k]
             head = replace(
-                shard.resolve_candidates(seg, requester)[0],
+                AllocationServer.resolve_candidates(router, seg, requester)[0],
                 degraded=requester in requesters[:3],
             )
             assert full[0] == head
@@ -538,6 +585,27 @@ class TestHintedHandoff:
         report = router.reconcile_after_heal(at=10.0)
         assert report.replayed_publishes == 1
         assert DatasetId("stuck") in router.catalog
+
+    def test_partitioned_publish_queues_and_replays(self):
+        router, net = partition_rig()
+        self._cut_off_coordinator(net)
+        ds = segment_dataset(DatasetId("part"), AuthorId("y"), 100, n_segments=2)
+        queued = router.publish_dataset_partitioned(
+            ds, assignment_to(ds, "z"), extra_replicas=1
+        )
+        assert queued == []
+        assert DatasetId("part") not in router.catalog
+        assert [h[0] for h in router.pending_handoff()] == ["publish_partitioned"]
+        net.heal()
+        report = router.reconcile_after_heal(at=10.0)
+        assert report.replayed_publishes == 1
+        assert router.pending_handoff() == []
+        for seg in ds.segments:
+            live = router.catalog.replicas_of_segment(
+                seg.segment_id, servable_only=True
+            )
+            assert len(live) == 2
+            assert node("z") in {r.node_id for r in live}
 
     def test_repair_hints_queue_and_dedupe_across_the_cut(self):
         """Repair never copies across a severed link: segments owned by an
