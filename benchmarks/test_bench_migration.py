@@ -49,7 +49,6 @@ def test_migration_halves_post_shift_fetch_time(benchmark):
             "migration_on": on.untrusted_leftover,
         },
     }
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print("\npost-shift mean fetch time (demand-shift scenario, seed 7)")
     print(f"{'setting':<16} {'mean ms':>10} {'local hits':>12}")
@@ -59,6 +58,11 @@ def test_migration_halves_post_shift_fetch_time(benchmark):
             f"{label:<16} {r.post_shift.mean_duration_s * 1e3:>10.1f} "
             f"{r.post_shift.local_hits:>7}/{r.post_shift.accesses}"
         )
-    print(f"improvement: {100.0 * improvement:.1f}%  -> {OUT.name}")
+    print(f"improvement: {100.0 * improvement:.1f}%")
 
     assert [g for g in demand_shift_gates(off, on) if not g.passed] == []
+
+    # written only once every gate has passed, so a failing run leaves
+    # the committed file alone
+    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"-> {OUT.name}")

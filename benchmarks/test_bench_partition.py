@@ -132,7 +132,6 @@ def test_partition_tolerance(benchmark):
             "unhandled_exceptions": chaos.unhandled_exceptions,
         },
     }
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
     print(
@@ -148,10 +147,14 @@ def test_partition_tolerance(benchmark):
         f"reconverge {chaos.time_to_reconverge_s:.0f}s, "
         f"divergence {chaos.divergence_after_heal}"
     )
-    print(f"-> {OUT.name}")
 
     assert [g for g in community_split_gates(off, on) if not g.passed] == []
     # the random campaign agrees: episodes fire, everything re-converges
     assert chaos.partitions > 0
     assert chaos.unhandled_exceptions == 0
     assert chaos.divergence_after_heal == 0
+
+    # written only once every gate has passed, so a failing run leaves
+    # the committed file alone
+    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"-> {OUT.name}")

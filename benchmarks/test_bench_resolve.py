@@ -67,14 +67,12 @@ def test_resolve_fast_path_and_parallel_campaign(benchmark):
         "resolve_seed": RESOLVE_SEED,
         "campaign_root_seed": CAMPAIGN_ROOT_SEED,
     }
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
     for line in resolve.lines():
         print(line)
     for line in campaign.lines():
         print(line)
-    print(f"-> {OUT.name}")
 
     # correctness gates: identical resolutions, identical reports, and no
     # worker ever rebuilding the trusted graph after its initializer ran
@@ -97,3 +95,8 @@ def test_resolve_fast_path_and_parallel_campaign(benchmark):
             f"core(s) < {CAMPAIGN_WORKERS} workers "
             f"(measured {campaign.speedup:.2f}x, recorded only)"
         )
+
+    # written only once every gate has passed, so a failing run leaves
+    # the committed file alone
+    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"-> {OUT.name}")

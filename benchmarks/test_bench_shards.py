@@ -94,14 +94,12 @@ def test_sharded_allocation_throughput(benchmark):
         ],
         "seeds": {"resolve_seed": RESOLVE_SEED},
     }
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
     for r in results:
         for line in r.lines():
             print(line)
         print()
-    print(f"-> {OUT.name}")
 
     # correctness gate: every shard count bit-identical to the unsharded
     # server (single-shard equivalence plus the federated guarantee)
@@ -127,3 +125,8 @@ def test_sharded_allocation_throughput(benchmark):
     )
     # every site must see real traffic or the scaling number is fiction
     assert all(n > 0 for n in four.site_requests)
+
+    # written only once every gate has passed, so a failing run leaves
+    # the committed file alone
+    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"-> {OUT.name}")

@@ -10,7 +10,8 @@ algorithms in :mod:`repro.cdn.partitioning`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Set
 
 import networkx as nx
 
@@ -44,10 +45,18 @@ def detect_communities(
     Isolated nodes form singleton communities. The result is a partition:
     every node appears in exactly one community.
 
+    The greedy method runs this module's own Clauset-Newman-Moore kernel
+    (:func:`_greedy_modularity`). Its partition equals networkx's
+    ``greedy_modularity_communities``, which the tests keep as the
+    reference, and it no longer depends on the installed networkx
+    release. The kernel breaks ties by sorted label, so node labels must
+    be mutually orderable; every caller in this package passes
+    ``AuthorId`` strings.
+
     The returned order is deterministic: communities sort largest first,
     and equal-size communities sort by their sorted member tuple — never
-    by networkx's set-iteration order, which depends on
-    ``PYTHONHASHSEED``. Community *indices* feed
+    by set-iteration order, which depends on ``PYTHONHASHSEED``.
+    Community *indices* feed
     :class:`repro.cdn.partitioning.SocialPartitioner`'s round-robin
     cold-start assignment and the sharded allocation tier's shard key, so
     a hash-order-dependent order here would leak into placement and
@@ -57,7 +66,7 @@ def detect_communities(
         raise GraphError("cannot detect communities in an empty graph")
     weight = "weight" if weighted else None
     if method == "greedy-modularity":
-        comms = nx.community.greedy_modularity_communities(graph.nx, weight=weight)
+        comms = _greedy_modularity(graph.nx, weight)
     elif method == "label-propagation":
         rng = make_rng(seed)
         comms = nx.community.asyn_lpa_communities(
@@ -71,6 +80,79 @@ def detect_communities(
     # hash-seed-independent position.
     result.sort(key=lambda c: (-len(c), sorted(c)))
     return result
+
+
+def _greedy_modularity(g: nx.Graph, weight: Optional[str]) -> List[List[AuthorId]]:
+    """Clauset-Newman-Moore greedy modularity, in no particular order.
+
+    Every node starts alone; the pair of communities whose merge gains
+    the most modularity merges, until the best gain is negative (a gain
+    of exactly 0 still merges) or no linked pair is left. Nodes are
+    indexed in sorted-label order and one heap holds ``(-gain, i, j)``
+    with ``i < j`` for every linked pair, so ties pop the lowest label
+    pair first; a popped ``(i, j)`` merges ``i`` into ``j``. Entries are
+    deleted lazily: one is live only while ``dq[i][j]`` still equals its
+    gain.
+
+    That is the pair networkx's ``greedy_modularity_communities`` pops:
+    its heap of row maxima holds every row's best ``(-gain, (u, v))``,
+    ``(u, v)`` and ``(v, u)`` always carry equal gains, and ``(min, max)``
+    sorts first. Each float below is computed expression for expression
+    as networkx 3.6.1 computes it, so near-ties break the same way.
+    """
+    nodes = sorted(g)
+    if not g.size():
+        return [[n] for n in nodes]
+    index = {n: i for i, n in enumerate(nodes)}
+    q0 = 1 / g.size(weight)
+    a = [0.0] * len(nodes)
+    for n, deg in g.degree(weight=weight):
+        a[index[n]] = deg * q0 * 0.5
+    # dq[i][j]: the modularity gain of merging communities i and j, kept
+    # for both orientations of every linked pair
+    dq: List[Dict[int, float]] = [{} for _ in nodes]
+    for u, v, wt in g.edges(data=weight, default=1):
+        if u != v:
+            i, j = index[u], index[v]
+            dq[i][j] = dq[j][i] = dq[i].get(j, 0.0) + wt
+    heap = []
+    for i, row in enumerate(dq):
+        a_i = a[i]
+        for j, wt in row.items():
+            row[j] = gain = q0 * wt - (a_i * a[j] + a_i * a[j])
+            if i < j:
+                heap.append((-gain, i, j))
+    heapify(heap)
+    members = [[n] for n in nodes]
+    while heap:
+        key, i, j = heappop(heap)
+        row_i = dq[i]
+        if row_i.get(j) != -key:
+            continue  # stale: the gain changed, or one side merged away
+        if key > 0:
+            break
+        row_j = dq[j]
+        del row_i[j], row_j[i]
+        a_i, a_j = a[i], a[j]
+        for w, gain in row_j.items():
+            if w in row_i:
+                gain = gain + row_i[w]
+            else:
+                gain = gain - (a_i * a[w] + a[w] * a_i)
+            row_j[w] = dq[w][j] = gain
+            heappush(heap, (-gain, j, w) if j < w else (-gain, w, j))
+        for w, gain in row_i.items():
+            row_w = dq[w]
+            del row_w[i]
+            if w not in row_j:
+                gain = gain - (a_j * a[w] + a[w] * a_j)
+                row_j[w] = row_w[j] = gain
+                heappush(heap, (-gain, j, w) if j < w else (-gain, w, j))
+        dq[i] = {}
+        a[j] = a_j + a_i
+        members[j] += members[i]
+        members[i] = []
+    return [c for c in members if c]
 
 
 def modularity(

@@ -265,8 +265,9 @@ class TestFallbackAssignment:
         assert router.syscat.site_of_dataset(DatasetId("late-ds")) == site
 
     def test_failed_publish_leaves_no_metadata(self):
-        """System-catalog registration happens only after the shard
-        commits — a rolled-back publication leaves no fragments."""
+        """The dataset and its fragments register in the system catalog
+        before placement; rolling back a failed publication drops them
+        again, so no metadata survives."""
         g = graph_of(pub("p", 2009, "a", "b"))
         router = make_router(g, ["a", "b"], capacity=10)  # too small
         ds = segment_dataset(DatasetId("big"), AuthorId("a"), 1_000)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -69,6 +70,113 @@ class TestDetect:
         comms = detect_communities(g)
         sizes = [len(c) for c in comms]
         assert sizes == sorted(sizes, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# the greedy kernel against networkx's greedy_modularity_communities
+# ----------------------------------------------------------------------
+def _tie_cycles(rng: random.Random, seed: int) -> nx.Graph:
+    """Disjoint cycles: every merge gain ties with many others."""
+    return nx.disjoint_union_all(
+        [nx.cycle_graph(rng.randint(3, 9)) for _ in range(rng.randint(1, 4))]
+    )
+
+
+def _tie_cliques(rng: random.Random, seed: int) -> nx.Graph:
+    """Equal cliques, some joined in a ring by single edges."""
+    k = rng.randint(3, 5)
+    g = nx.disjoint_union_all([nx.complete_graph(k) for _ in range(rng.randint(2, 5))])
+    if rng.random() < 0.5:
+        starts = list(range(0, g.number_of_nodes(), k))
+        g.add_edges_from(zip(starts, starts[1:] + starts[:1]))
+    return g
+
+
+def _disconnected(rng: random.Random, seed: int) -> nx.Graph:
+    """Two random components, isolated nodes and a self-loop."""
+    g = nx.disjoint_union(
+        nx.gnp_random_graph(rng.randint(4, 15), 0.3, seed=seed),
+        nx.barabasi_albert_graph(rng.randint(4, 12), 1, seed=seed),
+    )
+    n = g.number_of_nodes()
+    g.add_nodes_from(range(n, n + rng.randint(1, 3)))
+    g.add_edge(0, 0)
+    return g
+
+
+#: family -> (rng, seed) -> graph with integer labels 0..n-1
+REFERENCE_FAMILIES = {
+    "gnp": lambda rng, s: nx.gnp_random_graph(
+        rng.randint(5, 40), rng.uniform(0.05, 0.4), seed=s
+    ),
+    "barabasi-albert": lambda rng, s: nx.barabasi_albert_graph(
+        rng.randint(5, 40), rng.randint(1, 3), seed=s
+    ),
+    "relaxed-caveman": lambda rng, s: nx.relaxed_caveman_graph(
+        rng.randint(2, 6), rng.randint(3, 6), rng.uniform(0.0, 0.4), seed=s
+    ),
+    "watts-strogatz": lambda rng, s: nx.watts_strogatz_graph(
+        rng.randint(6, 40), 4, rng.uniform(0.0, 0.4), seed=s
+    ),
+    "tie-cycles": _tie_cycles,
+    "tie-cliques": _tie_cliques,
+    "disconnected": _disconnected,
+    "edgeless": lambda rng, s: nx.empty_graph(rng.randint(1, 6)),
+}
+
+#: weight mode -> (rng -> edge weight, None for no attribute; weighted=)
+REFERENCE_WEIGHTS = {
+    "int": (lambda rng: rng.randint(1, 4), True),
+    "float": (lambda rng: rng.uniform(0.1, 3.0), True),
+    "absent": (lambda rng: None, True),
+    "mixed": (lambda rng: rng.choice([None, 1, 2, 0.5]), True),
+    "unweighted": (lambda rng: rng.randint(1, 4), False),
+}
+
+GRAPHS_PER_CASE = 5
+
+
+def _reference_graph(family: str, labels: str, weights: str, seed: int) -> nx.Graph:
+    """A seeded graph of ``family``, its nodes inserted in shuffled order
+    (so insertion order is not label order) under int or string labels."""
+    rng = random.Random(f"{family}/{labels}/{weights}/{seed}")
+    base = REFERENCE_FAMILIES[family](rng, seed)
+    draw_weight = REFERENCE_WEIGHTS[weights][0]
+    name = (lambda n: n) if labels == "int" else (lambda n: f"a{n}")
+    nodes = list(base)
+    rng.shuffle(nodes)
+    edges = list(base.edges())
+    rng.shuffle(edges)
+    g = nx.Graph()
+    g.add_nodes_from(name(n) for n in nodes)
+    for u, v in edges:
+        w = draw_weight(rng)
+        g.add_edge(name(u), name(v), **({} if w is None else {"weight": w}))
+    return g
+
+
+def _canonical(comms):
+    return sorted(tuple(sorted(c)) for c in comms)
+
+
+class TestGreedyMatchesNetworkx:
+    """The greedy-modularity kernel must return exactly networkx's
+    partition: the shard key and the frozen digests depend on it. Eight
+    families x two label kinds x five weight modes x five seeds = 400
+    graphs."""
+
+    @pytest.mark.parametrize("weights", sorted(REFERENCE_WEIGHTS))
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+    def test_same_partition(self, family, labels, weights):
+        weighted = REFERENCE_WEIGHTS[weights][1]
+        for seed in range(GRAPHS_PER_CASE):
+            g = _reference_graph(family, labels, weights, seed)
+            want = nx.community.greedy_modularity_communities(
+                g, weight="weight" if weighted else None
+            )
+            got = detect_communities(CoauthorshipGraph(g), weighted=weighted)
+            assert _canonical(got) == _canonical(want), (family, labels, weights, seed)
 
 
 class TestModularity:

@@ -9,7 +9,14 @@ the same code, so these tests pin the set-up outputs to constants instead:
 a changed draw or a reordered adjacency fails here, not as a shifted
 figure three layers away.
 
-The second half keeps the copy-and-remove pruning (copy the full graph,
+The community partitions are pinned the same way: the greedy-modularity
+partition of the bench/CI trusted graph and of three scenario graphs, and
+the author -> site map it keys for a sharded deployment. A different
+merge order changes which shard owns an author, so these digests define
+the expected partition whatever the community kernel or the installed
+networkx release.
+
+The last part keeps the copy-and-remove pruning (copy the full graph,
 drop the weak edges, finalize) as a reference that
 :class:`MinCoauthorshipTrust` and a composed pruning must match exactly.
 """
@@ -21,7 +28,10 @@ import json
 
 import pytest
 
+from repro.cdn.syscat import build_system_catalog
+from repro.sim.scenarios import scenario_graph
 from repro.social import generate_corpus
+from repro.social.communities import detect_communities
 from repro.social.ego import ego_corpus
 from repro.social.graph import build_coauthorship_graph
 from repro.social.trust import (
@@ -115,6 +125,54 @@ def test_trusted_digests_frozen(corpora, seed, hops):
         for h in paper_trust_heuristics()
     }
     assert got == TRUSTED_DIGESTS[(seed, hops)]
+
+
+# ----------------------------------------------------------------------
+# community partitions and the shard key
+# ----------------------------------------------------------------------
+#: ``[sorted(c) for c in detect_communities(graph, weighted=...)]``
+PARTITION_DIGESTS = {
+    ("trusted", True): "ab10a132f7abec8ad3cfa47d1389e61b5d977a2f3a89a34c0107b01c476cce27",
+    ("trusted", False): "16f5ce6f35081a8ba67a2e577e93c9eee9c3472bb54629c66b6cfec0e2e2d4a8",
+    ("scenario-8", True): "7d2fd9deb4bfbc9a08bffa57be3f57040e4af22b8f14f1c14f15bba2429a8bcc",
+    ("scenario-8", False): "7d2fd9deb4bfbc9a08bffa57be3f57040e4af22b8f14f1c14f15bba2429a8bcc",
+    ("scenario-400", True): "3d1d073b7f8f05c587a1b0c9eeb41304e0a19ec0266e6e1fbd82bf0aaca50e3b",
+    ("scenario-400", False): "1cc76f5c722d5db0721d81a5e7d8f735de5811c2750e85edc1e68b3e4df7e71d",
+    ("scenario-1000", True): "69d73d1046e99e8adc60cde0d709e2209e36268da268431c5f75b8e09100d016",
+    ("scenario-1000", False): "4f3eee94c7a5797198b8425342286157921a5630cb513a23ea07df49cd0d6e8f",
+}
+
+#: ``[[author, site], ...]`` in author order, from ``build_system_catalog``
+SHARD_KEY_DIGESTS = {
+    2: "2d4d451d82d5a351a197c674fe3162a6d23fa7cd42cc7a086e899091b8d96257",
+    4: "646cf99bcc4c3df96d2b65f03918ae28b64b10e1d7071bc421d7ae17291e1d22",
+}
+
+
+@pytest.fixture(scope="module")
+def ci_trusted(corpora):
+    """The bench/CI deployment graph: the seed-42 corpus, 2-hop ego,
+    double coauthorship (190 authors)."""
+    corpus, ego_seed = corpora[42]
+    ego = ego_corpus(corpus, ego_seed, hops=2)
+    return MinCoauthorshipTrust(2).prune(ego, seed=ego_seed).graph
+
+
+@pytest.mark.parametrize("name,weighted", sorted(PARTITION_DIGESTS))
+def test_partition_digests_frozen(ci_trusted, name, weighted):
+    if name == "trusted":
+        graph = ci_trusted
+    else:
+        graph = scenario_graph(far_clusters=int(name.split("-")[1]))
+    comms = detect_communities(graph, weighted=weighted)
+    assert _digest([sorted(c) for c in comms]) == PARTITION_DIGESTS[(name, weighted)]
+
+
+@pytest.mark.parametrize("n_sites", sorted(SHARD_KEY_DIGESTS))
+def test_shard_key_digest_frozen(ci_trusted, n_sites):
+    syscat = build_system_catalog(ci_trusted, n_sites)
+    rows = [[a, syscat.site_of_author(a)] for a in sorted(ci_trusted.nodes())]
+    assert _digest(rows) == SHARD_KEY_DIGESTS[n_sites]
 
 
 # ----------------------------------------------------------------------
