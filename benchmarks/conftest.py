@@ -16,8 +16,6 @@ from repro.social.ego import ego_corpus
 
 CORPUS_SEED = 42
 STUDY_SEED = 7
-#: deployment seed of the resolve-throughput bench (test_bench_resolve)
-RESOLVE_SEED = 7
 #: seed-grid root of the campaign serial-vs-parallel bench
 CAMPAIGN_ROOT_SEED = 11
 

@@ -51,12 +51,7 @@ from .placement import (
     paper_placements,
     all_placements,
 )
-from .allocation import (
-    AllocationFabric,
-    AllocationServer,
-    ResolvedReplica,
-    resolve_candidates_reference,
-)
+from .allocation import AllocationFabric, AllocationServer, ResolvedReplica
 from .hopindex import HopIndex
 from .client import CDNClient
 from .replication import ReplicationPolicy, RedundancyReport
@@ -120,7 +115,6 @@ __all__ = [
     "AllocationFabric",
     "AllocationServer",
     "ResolvedReplica",
-    "resolve_candidates_reference",
     "HopIndex",
     "CDNClient",
     "ReplicationPolicy",

@@ -30,7 +30,6 @@ from ..errors import CatalogError, ConfigurationError, PlacementError
 from ..ids import AuthorId, DatasetId, NodeId, ReplicaId, SegmentId
 from ..obs import Registry, get_registry, linear_buckets
 from ..rng import SeedLike, make_rng, spawn
-from ..social.ego import hop_distances
 from ..social.graph import CoauthorshipGraph
 from .catalog import ReplicaCatalog
 from .content import Dataset, Replica, ReplicaState
@@ -1341,50 +1340,3 @@ class AllocationServer:
         self.obs.trace("migrate", ts=at, node=str(node))
         return self.repair(at=at)
 
-
-def resolve_candidates_reference(
-    server: AllocationServer,
-    segment_id: SegmentId,
-    requester: AuthorId,
-    *,
-    limit: Optional[int] = None,
-) -> List[ResolvedReplica]:
-    """The pre-index ``resolve_candidates``, retained as a differential oracle.
-
-    Recomputes hop distances with a fresh per-call Python BFS
-    (:func:`repro.social.ego.hop_distances`) — no cache, no CSR index —
-    and applies the identical servable/live filter, hoisted load lookup,
-    and ``(hops, load, node id)`` sort. Tests assert the fast path's
-    output is byte-identical to this on arbitrary deployments; benchmarks
-    use it as the resolves-per-second baseline. Moves no counters.
-    """
-    reps = [
-        r
-        for r in server.catalog.replicas_of_segment(segment_id, servable_only=True)
-        if server._is_live(r.node_id)
-    ]
-    if not reps:
-        return []
-    if requester in server.graph:
-        hops = hop_distances(server.graph, {requester})
-    else:
-        hops = {}
-
-    loads: Dict[NodeId, int] = {}
-    for r in reps:
-        if r.node_id not in loads:
-            loads[r.node_id] = server.repository(r.node_id).reads_served
-
-    author_of = server.author_of
-
-    def sort_key(r: Replica) -> Tuple[int, int, str]:
-        d = hops.get(author_of(r.node_id), 10**9)
-        return (d, loads[r.node_id], str(r.node_id))
-
-    reps.sort(key=sort_key)
-    if limit is not None:
-        reps = reps[:limit]
-    return [
-        ResolvedReplica(replica=r, social_hops=hops.get(author_of(r.node_id)))
-        for r in reps
-    ]

@@ -31,8 +31,8 @@ The router is a drop-in replacement for :class:`AllocationServer`:
   registry, so every instrument is the object an unsharded server owns.
 
 With one shard this makes every operation bit-identical to the unsharded
-server (asserted differentially in tests and ``repro perf --shards``,
-same pattern as :func:`~repro.cdn.allocation.resolve_candidates_reference`),
+server (asserted differentially in ``tests/cdn/test_sharding.py``, against
+the unsharded server and the test suite's fresh-BFS reference resolver),
 and :class:`~repro.sim.campaign.CampaignExecutor` campaigns produce
 bit-identical reports with sharding on or off at any shard count.
 """

@@ -9,7 +9,7 @@ Subcommands::
     repro simulate   [--members N] [--days D]        live S-CDN metrics
     repro obs        [--members N] [--days D] [--json F]  observability report
     repro chaos      [--horizon S] [--seed N]        chaos campaign + report
-    repro perf       [--quick] [--shards N ...]      resolve/campaign throughput
+    repro perf       [--seeds N] [--workers W]       campaign parallel speedup
     repro scrub      [--corrupt K] [--seed N]        bit-rot + scrubber check
     repro migrate    [--migrate-seed N]              demand-shift migration check
     repro partition  [--partition-seed N]            community-split partition check
@@ -644,108 +644,62 @@ SCENARIO_COMMANDS: Tuple[ScenarioCommand, ...] = (
 
 
 def cmd_perf(args) -> int:
-    """`repro perf`: resolve-throughput and campaign-speedup harness.
+    """`repro perf`: campaign-speedup harness.
 
-    Measures resolves-per-second on a scaled demand-shift scenario graph
-    (pre-index reference BFS vs. the HopIndex fast path) and, unless
-    ``--quick``, the wall-clock speedup of a prewarmed
-    :class:`~repro.sim.campaign.CampaignExecutor` over the serial
-    runner. Exit status is 0 only if the fast path's
-    candidate rankings are byte-identical to the reference's AND (when
-    campaigns ran) the parallel reports match the serial ones bit for
-    bit AND the measured speedup clears ``--min-speedup`` — the speed
-    gate only arms when the machine actually has ``--workers`` usable
-    cores, so single-core runners check correctness without flaking on
-    physics (``--quick`` stays ungated for exactly that reason). A
-    failing run exits 1 with one ``FAIL: <gate> (<observed>); ...`` line
-    on stderr naming ``resolve_identical``, ``shards_identical``,
-    ``campaign_identical`` or ``speedup``.
+    Times one chaos seed grid serially and over a prewarmed
+    :class:`~repro.sim.campaign.CampaignExecutor`
+    (:func:`repro.perf.campaign_speedup`). Exit status is 0 only if the
+    parallel reports match the serial ones bit for bit AND the measured
+    speedup clears ``--min-speedup`` — the speed gate only arms when the
+    machine actually has ``--workers`` usable cores, so single-core
+    runners check correctness without flaking on physics. A failing run
+    exits 1 with one ``FAIL: <gate> (<observed>); ...`` line on stderr
+    naming ``campaign_identical`` or ``speedup``. ``--json`` writes the
+    measurement and the environment it ran on (commit, CPU, Python).
 
-    ``--shards N [N ...]`` additionally runs the sharded-allocation
-    bench at each given shard count (unsharded vs routed vs
-    partition-parallel federated resolve) and extends the exit gate with
-    its differential check: every shard count must rank candidates
-    bit-identically to the unsharded server and the pre-index reference.
-    The shard bench runs even under ``--quick`` (capped like the resolve
-    bench), which is what the CI shard-equivalence gate uses; a
-    ``--shards`` run is shard-focused and skips the campaign bench.
+    Resolve and shard speed are measured by the repository benchmark in
+    ``bench/``; their differential checks run in the test suite.
     """
-    from .perf import (
-        bench_to_dict,
-        campaign_speedup,
-        resolve_throughput,
-        shard_throughput,
-    )
+    from .perf import bench_to_dict, campaign_speedup
     from .sim.campaign import CampaignConfig
     from .sim.chaos import ChaosConfig
 
-    if args.shards and any(n < 1 for n in args.shards):
-        print("error: --shards counts must be >= 1", file=sys.stderr)
-        return 2
-    # The shard bench wants a graph big enough that the community
-    # partition has real work per site; default 10x the resolve bench.
-    scale = args.scale if args.scale is not None else (400 if args.shards else 40)
-    if args.quick:
-        requests = min(args.requests, 1000)
-        scale = min(scale, 20)
-    else:
-        requests = args.requests
-    resolve = resolve_throughput(far_clusters=scale, requests=requests)
-    for line in resolve.lines():
+    campaign = campaign_speedup(
+        CampaignConfig(chaos=ChaosConfig(horizon_s=args.horizon)),
+        n_seeds=args.seeds,
+        workers=args.workers,
+        start_method=args.start_method,
+        chunk_size=args.chunk_size,
+    )
+    for line in campaign.lines():
         print(line)
-
-    shard_results = []
-    for n in args.shards or ():
-        sb = shard_throughput(far_clusters=scale, requests=requests, n_shards=n)
-        print()
-        for line in sb.lines():
-            print(line)
-        shard_results.append(sb)
-
-    campaign = None
     speedup_ok = True
-    if not args.quick and not args.shards:
-        campaign = campaign_speedup(
-            CampaignConfig(chaos=ChaosConfig(horizon_s=args.horizon)),
-            n_seeds=args.seeds,
-            workers=args.workers,
-            start_method=args.start_method,
-            chunk_size=args.chunk_size,
-        )
-        for line in campaign.lines():
-            print(line)
-        if args.min_speedup > 0:
-            if campaign.cores >= args.workers:
-                speedup_ok = campaign.speedup >= args.min_speedup
-                verdict = "ok" if speedup_ok else "FAIL"
-                print(
-                    f"speedup gate: {campaign.speedup:.2f}x >= "
-                    f"{args.min_speedup:.2f}x required ... {verdict}"
-                )
-            else:
-                print(
-                    f"speedup gate: skipped ({campaign.cores} usable core(s) "
-                    f"< {args.workers} workers — cannot win on this machine)"
-                )
+    if args.min_speedup > 0:
+        if campaign.cores >= args.workers:
+            speedup_ok = campaign.speedup >= args.min_speedup
+            verdict = "ok" if speedup_ok else "FAIL"
+            print(
+                f"speedup gate: {campaign.speedup:.2f}x >= "
+                f"{args.min_speedup:.2f}x required ... {verdict}"
+            )
+        else:
+            print(
+                f"speedup gate: skipped ({campaign.cores} usable core(s) "
+                f"< {args.workers} workers — cannot win on this machine)"
+            )
 
     if args.json and not _write_json(
-        args.json,
-        bench_to_dict(resolve, campaign, shard_results or None),
-        "perf report",
+        args.json, bench_to_dict(campaign), "perf report"
     ):
         return 2
 
-    gates = [Gate("resolve_identical", resolve.identical, resolve.identical)]
-    if shard_results:
-        diverged = [sb.n_shards for sb in shard_results if not sb.identical]
-        gates.append(Gate("shards_identical", not diverged, diverged))
-    if campaign is not None:
-        gates += [
+    return _gate_status(
+        [
             Gate("campaign_identical", campaign.identical, campaign.identical),
             Gate("speedup", speedup_ok,
                  f"{campaign.speedup:.2f}x, need >= {args.min_speedup:.2f}x"),
         ]
-    return _gate_status(gates)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -853,19 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
-        "perf",
-        help="measure resolve throughput and campaign parallel speedup",
+        "perf", help="measure campaign parallel speedup over the serial runner"
     )
-    p.add_argument("--quick", action="store_true",
-                   help="resolve-only smoke: capped requests/scale, no campaigns")
-    p.add_argument("--requests", type=int, default=5000,
-                   help="resolve requests per measured mode")
-    p.add_argument("--scale", type=int, default=None,
-                   help="scenario-graph far clusters (3 authors each; "
-                        "default 40, or 400 when --shards runs)")
-    p.add_argument("--shards", type=int, nargs="+", metavar="N",
-                   help="also run the sharded-allocation bench at these "
-                        "shard counts (skips the campaign bench)")
     p.add_argument("--seeds", type=int, default=4,
                    help="campaign seed-grid size")
     p.add_argument("--workers", type=int, default=2,

@@ -26,8 +26,8 @@ from related roots silently collides — see :func:`_check_seeds`).
 **Why a persistent executor.** The first parallel runner spun a fresh pool
 up per grid and let each worker rebuild the trusted deployment graph
 lazily inside its first task, so per-run setup dominated the small work
-units and parallel *lost* to serial (0.68x in the original
-``BENCH_resolve.json``). :class:`CampaignExecutor` fixes all three
+units and parallel *lost* to serial (0.68x in the first recorded
+campaign-speedup bench). :class:`CampaignExecutor` fixes all three
 overheads: the pool is created **once** and reused across grids; every
 worker is warmed with the prebuilt trusted graph in the pool
 *initializer* (under ``fork`` the parent's memo is inherited copy-on-write

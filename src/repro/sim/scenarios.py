@@ -172,9 +172,10 @@ def scenario_graph(*, far_clusters: int = 1) -> CoauthorshipGraph:
     Larger values append additional three-member far cliques
     (``far{k}-1 .. far{k}-3`` for ``k >= 2``), each bridged to ``near-1``
     by its own weight-1 edge — same topology family, more nodes. The
-    scaled variants exist for the resolve throughput benchmarks
-    (:mod:`repro.perf`), which need a graph big enough that per-request
-    BFS cost dominates; the scenario itself always runs at scale 1.
+    scaled variants serve the differential resolve and sharding tests and
+    the benchmark's ``resolve-scale`` workload, which need a graph big
+    enough to spread replicas over many holders and communities; the
+    scenario itself always runs at scale 1.
     """
     if far_clusters < 1:
         raise ConfigurationError(f"far_clusters must be >= 1, got {far_clusters}")

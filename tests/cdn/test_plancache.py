@@ -5,7 +5,7 @@ This suite first checked the resolve plan cache. The cache is gone and
 path still memoizes: the catalog's servable view, the hop index's
 holder rows and the sharded router's owner-site memo. The checks here
 hold a server whose memos are already warm to the fresh-BFS reference
-(:func:`repro.cdn.allocation.resolve_candidates_reference`) or to a cold
+(:func:`tests.cdn.reference.resolve_candidates_reference`) or to a cold
 twin, through load skew, partitions, sharded routing and a random
 interleaving of every event that can change a ranking.
 """
@@ -18,17 +18,12 @@ import pytest
 
 from repro.ids import AuthorId, NodeId
 from repro.obs import Registry
-from repro.perf import (
-    _request_workload,
-    build_resolve_deployment,
-    build_sharded_deployment,
-)
 from repro.scdn import SCDN, SCDNConfig
 from repro.social.graph import build_coauthorship_graph
 from repro.social.records import Corpus
-from repro.cdn.allocation import resolve_candidates_reference
 
 from ..conftest import pub
+from .reference import build_deployment, request_workload, resolve_candidates_reference
 
 
 def ranking(candidates):
@@ -47,17 +42,17 @@ def warm(server, workload):
 
 def warmed_deployment(requests=200, **kwargs):
     """A resolve deployment whose memos have seen its request workload."""
-    server, segments, authors = build_resolve_deployment(
+    server, segments, authors = build_deployment(
         registry=Registry(), **kwargs
     )
-    warm(server, _request_workload(segments, authors, requests))
+    warm(server, request_workload(segments, authors, requests))
     return server, segments, authors
 
 
 class TestDifferentialPlanned:
     def test_matches_reference_on_scenario_deployment(self):
         server, segments, authors = warmed_deployment(far_clusters=4, datasets=3)
-        for seg, req in _request_workload(segments, authors, 200):
+        for seg, req in request_workload(segments, authors, 200):
             assert ranking(server.resolve_candidates(seg, req)) == ranking(
                 resolve_candidates_reference(server, seg, req)
             )
@@ -66,7 +61,7 @@ class TestDifferentialPlanned:
         """Warm memos must still track mutable load exactly: the load
         tie-break is read per lookup, never memoized."""
         server, segments, authors = warmed_deployment(far_clusters=2)
-        for seg, req in _request_workload(segments, authors, 50):
+        for seg, req in request_workload(segments, authors, 50):
             server.resolve(seg, req)
         for seg in segments:
             for req in authors[:5]:
@@ -92,11 +87,11 @@ class TestDifferentialPlanned:
 
     def test_resolve_and_resolve_many_match_uncached_twin(self):
         build = dict(far_clusters=3)
-        s1, segments, authors = build_resolve_deployment(
+        s1, segments, authors = build_deployment(
             registry=Registry(), **build
         )
         s2, _, _ = warmed_deployment(**build)
-        workload = _request_workload(segments, authors, 150)
+        workload = request_workload(segments, authors, 150)
         cold = [s1.resolve(seg, req) for seg, req in workload]
         warm = [s2.resolve(seg, req) for seg, req in workload]
         assert [(r.replica.replica_id, r.social_hops) for r in cold] == [
@@ -190,13 +185,13 @@ class TestShardedPlanned:
     @pytest.mark.parametrize("n_shards", [1, 3])
     def test_resolution_identical_to_uncached_flat(self, n_shards):
         build = dict(far_clusters=6, datasets=4, spread_owners=True)
-        flat, segments, authors = build_resolve_deployment(
+        flat, segments, authors = build_deployment(
             registry=Registry(), **build
         )
-        router, _, _ = build_sharded_deployment(
+        router, _, _ = build_deployment(
             registry=Registry(), n_shards=n_shards, **build
         )
-        workload = _request_workload(segments, authors, 200)
+        workload = request_workload(segments, authors, 200)
         warm(router, workload)
         for seg, req in workload:
             assert ranking(router.resolve_candidates(seg, req)) == ranking(

@@ -4,21 +4,21 @@ The tentpole contract: swapping the per-call BFS for the CSR
 :class:`~repro.cdn.hopindex.HopIndex` must not change a single resolution.
 ``resolve_candidates`` is checked byte-for-byte against the retained
 pre-index reference implementation
-(:func:`repro.cdn.allocation.resolve_candidates_reference`), on the
-scenario deployment at two scales (one is the ``repro perf --quick``
-workload). Mutation sequences keep the ranking on the reference while
-catalog, membership, liveness and graph state change under it.
+(:func:`tests.cdn.reference.resolve_candidates_reference`), on the
+scenario deployment at three scales, and builds one hop row per replica
+holder where the reference runs one BFS per request. Mutation sequences
+keep the ranking on the reference while catalog, membership, liveness
+and graph state change under it.
 """
 
 from __future__ import annotations
 
 from repro.ids import AuthorId, DatasetId, NodeId
 from repro.obs import Registry
-from repro.perf import _request_workload, build_resolve_deployment
-from repro.cdn.allocation import resolve_candidates_reference
 from repro.cdn.content import segment_dataset
 from repro.cdn.storage import StorageRepository
 
+from .reference import build_deployment, request_workload, resolve_candidates_reference
 from .test_allocation_bugfixes import graph_of, make_server
 from ..conftest import pub
 
@@ -29,28 +29,40 @@ def ranking(candidates):
 
 
 #: ``(far_clusters, datasets, requests)`` of the scenario deployments
-#: ranked against the reference; the second is the workload ``repro perf
-#: --quick`` replays (its defaults at the capped scale and request count)
-SCENARIO_WORKLOADS = [(4, 3, 200), (20, 6, 1000)]
+#: ranked against the reference. The second is the workload of the
+#: retired "Perf smoke" CI step (``repro perf --quick``); the third is the
+#: retired resolve bench's, whose >= 5x wall-clock floor over the
+#: reference the hop-row count below stands in for.
+SCENARIO_WORKLOADS = [(4, 3, 200), (20, 6, 1000), (40, 6, 5000)]
 
 
 class TestDifferentialCandidates:
     def test_matches_reference_on_scenario_deployment(self):
         for far_clusters, datasets, requests in SCENARIO_WORKLOADS:
-            server, segments, authors = build_resolve_deployment(
-                far_clusters=far_clusters, datasets=datasets, registry=Registry()
+            reg = Registry()
+            server, segments, authors = build_deployment(
+                far_clusters=far_clusters, datasets=datasets, registry=reg
             )
-            for seg, req in _request_workload(segments, authors, requests):
+            for seg, req in request_workload(segments, authors, requests):
                 fast = server.resolve_candidates(seg, req)
                 ref = resolve_candidates_reference(server, seg, req)
                 assert ranking(fast) == ranking(ref), (far_clusters, seg, req)
+            # one BFS row per servable holder, where the reference runs
+            # one BFS per request
+            holders = {
+                r.node_id
+                for seg in segments
+                for r in server.catalog.replicas_of_segment(seg, servable_only=True)
+            }
+            misses = reg.counter("alloc.hop_cache.misses").value
+            assert misses == len(holders), (far_clusters, misses, len(holders))
 
     def test_matches_reference_after_load_skew(self):
         """The ranking must track mutable load identically in both paths."""
-        server, segments, authors = build_resolve_deployment(
+        server, segments, authors = build_deployment(
             far_clusters=2, registry=Registry()
         )
-        for seg, req in _request_workload(segments, authors, 50):
+        for seg, req in request_workload(segments, authors, 50):
             server.resolve(seg, req)  # records reads: loads diverge per node
         for seg in segments:
             for req in authors[:5]:
@@ -59,7 +71,7 @@ class TestDifferentialCandidates:
                 )
 
     def test_matches_reference_for_outside_requester(self):
-        server, segments, _ = build_resolve_deployment(
+        server, segments, _ = build_deployment(
             far_clusters=2, registry=Registry()
         )
         ghost = AuthorId("nobody-knows-me")
@@ -70,7 +82,7 @@ class TestDifferentialCandidates:
             assert all(c.social_hops is None for c in fast)
 
     def test_limit_respected(self):
-        server, segments, authors = build_resolve_deployment(
+        server, segments, authors = build_deployment(
             far_clusters=2, registry=Registry()
         )
         full = server.resolve_candidates(segments[0], authors[0])
@@ -125,10 +137,10 @@ class TestEvictionAccounting:
         """A hop-index rebuild must refresh the size gauge immediately —
         it used to stay stale until the next cache miss."""
         reg = Registry()
-        server, segments, authors = build_resolve_deployment(
+        server, segments, authors = build_deployment(
             far_clusters=2, registry=reg
         )
-        for seg, req in _request_workload(segments, authors, 10):
+        for seg, req in request_workload(segments, authors, 10):
             server.resolve_candidates(seg, req)
         assert reg.gauge("alloc.hop_index.size").value > 0
         server.graph = server.graph  # swap triggers a full rebuild
@@ -160,7 +172,7 @@ class TestEvictionAccounting:
         """After an invalidation, a workload of pure cache hits must not
         resurrect a stale gauge value."""
         reg = Registry()
-        server, segments, authors = build_resolve_deployment(
+        server, segments, authors = build_deployment(
             far_clusters=2, registry=reg
         )
         ranked = server.resolve_candidates(segments[0], authors[0])

@@ -20,22 +20,18 @@ import pytest
 from repro.errors import CatalogError, ConfigurationError
 from repro.ids import AuthorId, DatasetId, NodeId, SegmentId
 from repro.obs import Registry
-from repro.perf import (
-    _request_workload,
-    build_resolve_deployment,
-    build_sharded_deployment,
-)
 from repro.sim.engine import SimulationEngine
 from repro.sim.failures import FailureInjector
 from repro.sim.network import GeoPoint, NetworkModel
 from repro.social.graph import CoauthorshipGraph
-from repro.cdn.allocation import AllocationServer, resolve_candidates_reference
+from repro.cdn.allocation import AllocationServer
 from repro.cdn.content import segment_dataset
 from repro.cdn.placement import RandomPlacement
 from repro.cdn.sharding import ShardedAllocationRouter, _creation_key
 from repro.cdn.storage import StorageRepository
 
 from ..conftest import pub
+from .reference import build_deployment, request_workload, resolve_candidates_reference
 from .test_allocation_bugfixes import assignment_to, graph_of, make_server
 
 
@@ -50,8 +46,8 @@ def ranking(candidates):
 def twin(n_shards, **kwargs):
     """An unsharded deployment and its sharded twin (same seeds/ops)."""
     kwargs.setdefault("spread_owners", True)
-    flat = build_resolve_deployment(registry=Registry(), **kwargs)
-    sharded = build_sharded_deployment(
+    flat = build_deployment(registry=Registry(), **kwargs)
+    sharded = build_deployment(
         registry=Registry(), n_shards=n_shards, **kwargs
     )
     return flat, sharded
@@ -96,7 +92,7 @@ class TestSingleShardEquivalence:
 
     def test_resolution_identical_and_matches_reference(self):
         (flat, segments, authors), (router, _, _) = twin(1, far_clusters=4)
-        for seg, req in _request_workload(segments, authors, 150):
+        for seg, req in request_workload(segments, authors, 150):
             routed = router.resolve_candidates(seg, req)
             assert ranking(routed) == ranking(flat.resolve_candidates(seg, req))
             # the pre-index reference runs unmodified against the router
@@ -106,8 +102,9 @@ class TestSingleShardEquivalence:
 
 
 class TestMultiShardEquivalence:
-    # the perf-quick cases are the ``repro perf --shards 1 4 --quick``
-    # workload: the shard bench's defaults at the capped scale and count
+    # the perf-quick cases replace the retired "Shard equivalence gate" CI
+    # step (``repro perf --shards 1 4 --quick``) at its capped scale and
+    # count; bench-scale-4 is the retired shard bench's 4-shard workload
     @pytest.mark.parametrize(
         "n_shards, far_clusters, datasets, requests",
         [
@@ -115,6 +112,7 @@ class TestMultiShardEquivalence:
             pytest.param(4, 6, 8, 200, id="4"),
             pytest.param(1, 20, 12, 1000, id="perf-quick-1"),
             pytest.param(4, 20, 12, 1000, id="perf-quick-4"),
+            pytest.param(4, 400, 12, 4000, id="bench-scale-4"),
         ],
     )
     def test_resolution_identical(self, n_shards, far_clusters, datasets, requests):
@@ -124,17 +122,20 @@ class TestMultiShardEquivalence:
         assert [r.replica_id for r in flat.catalog.iter_replicas()] == [
             r.replica_id for r in router.catalog.iter_replicas()
         ]
-        for seg, req in _request_workload(segments, authors, requests):
+        for seg, req in request_workload(segments, authors, requests):
             routed = ranking(router.resolve_candidates(seg, req))
             assert routed == ranking(flat.resolve_candidates(seg, req))
             assert routed == ranking(resolve_candidates_reference(flat, seg, req))
 
     def test_segments_actually_spread_across_shards(self):
-        """The bench twin must exercise more than one site, or the
-        multi-shard assertions above test nothing."""
-        _, (router, segments, _) = twin(4, far_clusters=6, datasets=8)
-        sites = {router.catalog.site_of_segment(s) for s in segments}
-        assert len(sites) > 1
+        """The 4-shard twins above must exercise every site, or the
+        multi-shard assertions test less than they claim."""
+        for far_clusters, datasets in [(6, 8), (400, 12)]:
+            _, (router, segments, _) = twin(
+                4, far_clusters=far_clusters, datasets=datasets
+            )
+            sites = {router.catalog.site_of_segment(s) for s in segments}
+            assert sites == set(range(4)), far_clusters
 
 
 class TestNodeStateParity:
@@ -214,7 +215,7 @@ class TestNodeStateParity:
         (flat, segments, authors), (router, _, _) = twin(
             2, far_clusters=4, datasets=4
         )
-        for seg, req in _request_workload(segments, authors, 40):
+        for seg, req in request_workload(segments, authors, 40):
             flat.resolve(seg, req)
             router.resolve(seg, req)
         flat_created = flat.scale_hot(5, extra=1, at=4.0)
@@ -355,7 +356,7 @@ class TestSiteMemo:
     route and forgets it when the dataset is unregistered."""
 
     def test_site_memo_hits_after_first_route(self):
-        router, segments, authors = build_sharded_deployment(
+        router, segments, authors = build_deployment(
             registry=Registry(), n_shards=2, far_clusters=4, spread_owners=True
         )
         first = router.resolve_candidates(segments[0], authors[0])
@@ -366,7 +367,7 @@ class TestSiteMemo:
         )
 
     def test_site_memo_forgotten_on_unregister(self):
-        router, segments, authors = build_sharded_deployment(
+        router, segments, authors = build_deployment(
             registry=Registry(), n_shards=2, far_clusters=4, spread_owners=True
         )
         router.resolve_candidates(segments[0], authors[0])

@@ -314,20 +314,45 @@ class TestMigrateCommand:
 
 
 class TestPerfCommand:
-    def test_resolve_divergence_fails_through_gate_printer(self, monkeypatch, capsys):
+    def test_campaign_divergence_fails_through_gate_printer(
+        self, monkeypatch, capsys
+    ):
         import repro.perf
-        from repro.perf import ResolveBenchResult
+        from repro.perf import CampaignBenchResult
 
-        diverged = ResolveBenchResult(
-            far_clusters=1,
-            graph_nodes=1,
-            requests=1,
-            reference_rps=1.0,
-            indexed_rps=1.0,
+        diverged = CampaignBenchResult(
+            seeds=1,
+            workers=1,
+            serial_s=1.0,
+            parallel_s=1.0,
+            spinup_s=0.0,
             identical=False,
+            start_method="fork",
+            chunk_size=1,
+            cores=1,
+            worker_rebuilds=0,
         )
-        monkeypatch.setattr(repro.perf, "resolve_throughput", lambda **_: diverged)
-        assert main(["perf", "--quick"]) == 1
+        monkeypatch.setattr(repro.perf, "campaign_speedup", lambda *_, **__: diverged)
+        assert main(["perf"]) == 1
         captured = capsys.readouterr()
-        assert "differential check: DIVERGED" in captured.out
-        assert captured.err == "FAIL: resolve_identical (False)\n"
+        assert "reports bit-identical: False" in captured.out
+        assert captured.err == "FAIL: campaign_identical (False)\n"
+
+    def test_real_run_writes_campaign_and_env(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "perf.json"
+        argv = ["perf", "--seeds", "2", "--workers", "1", "--horizon", "60",
+                "--json", str(out)]
+        assert main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["campaign"]["seeds"] == 2
+        assert payload["campaign"]["identical"] is True
+        assert payload["env"]["commit"]
+        assert "wrote perf report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--quick"], ["--shards", "4"]])
+    def test_retired_resolve_and_shard_flags_rejected(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", *flags])
+        assert exc.value.code == 2
